@@ -31,47 +31,46 @@ X = "x"
 NU = "nu"
 
 
-@lru_cache(maxsize=None)
-def _zero_value_polys(order: int) -> tuple:
-    """A_k(0, nu) for k = 0..order, as polynomials in nu.
+@lru_cache(maxsize=256)
+def _zero_values(order: int, nu) -> tuple:
+    """A_k(0, nu) for k = 0..order.
 
-    Expands exp(nu * theta) with nu symbolic; the factorial-normalized
-    coefficients are exactly the values at x = 0.
+    Expands exp(nu * theta); the factorial-normalized coefficients are
+    exactly the values at x = 0.  A rational nu gives exact values, and
+    nu = None a symbolic nu with values that are polynomials in it.
     """
-    nu = MPoly.var(NU)
-    expanded = theta_series(order).scale(nu).exp()
+    scale = MPoly.var(NU) if nu is None else nu
+    expanded = theta_series(order).scale(scale).exp()
     return tuple(expanded.moment(k) for k in range(order + 1))
+
+
+def _from_zero_values(k: int, x, nu):
+    """A_k(x, nu) = sum_j C(k, 2j) A_2j(0, nu) x^(k-2j), from e^(x*t).
+
+    `x` and `nu` are both rational, or both symbolic (an MPoly x, nu=None).
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    zeros = _zero_values(k, nu)
+    terms = (comb(k, 2 * j) * zeros[2 * j] * x ** (k - 2 * j) for j in range(k // 2 + 1))
+    return sum(terms, zeros[0] * 0)
 
 
 def centered_bernoulli_at_zero(k: int) -> MPoly:
     """A_k(0, nu) as a polynomial in nu (zero for odd k)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _zero_value_polys(k)[k]
+    return _zero_values(k, None)[k]
 
 
 @lru_cache(maxsize=None)
 def centered_bernoulli_poly(k: int) -> MPoly:
     """A_k(x, nu) as an exact polynomial in x and nu.
 
-    Assembled from the x = 0 values via the binomial expansion of e^(x*t):
-    A_k = sum_j C(k, 2j) A_2j(0, nu) x^(k-2j).
+    Assembled from the symbolic x = 0 values via the binomial expansion of
+    e^(x*t), as in :func:`centered_bernoulli_value`.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    zeros = _zero_value_polys(k)
-    x = MPoly.var(X)
-    total = MPoly()
-    for j in range(k // 2 + 1):
-        total = total + comb(k, 2 * j) * zeros[2 * j] * x ** (k - 2 * j)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _zero_values_at(order: int, nu: Fraction) -> tuple:
-    """A_k(0, nu) for k = 0..order at a fixed rational nu."""
-    expanded = theta_series(order).scale(nu).exp()
-    return tuple(expanded.moment(k) for k in range(order + 1))
+    return _from_zero_values(k, MPoly.var(X), None)
 
 
 def centered_bernoulli_value(k: int, x, nu) -> Fraction:
@@ -80,14 +79,7 @@ def centered_bernoulli_value(k: int, x, nu) -> Fraction:
     Evaluates through the x = 0 values at the given nu rather than through
     the symbolic polynomial, which keeps large k cheap.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x = Fraction(x)
-    zeros = _zero_values_at(k, Fraction(nu))
-    total = Fraction(0)
-    for j in range(k // 2 + 1):
-        total += comb(k, 2 * j) * zeros[2 * j] * x ** (k - 2 * j)
-    return total
+    return _from_zero_values(k, Fraction(x), Fraction(nu))
 
 
 def generalized_bernoulli_value(k: int, nu, x) -> Fraction:
@@ -120,6 +112,27 @@ def _log_gamma_signed(nu: float) -> tuple:
     return math.lgamma(nu), sign
 
 
+def _log_scaled(value: Fraction, m: int, nu: float, sign_factor: int) -> float:
+    """sign_factor * value * (2pi)^m * Gamma(nu) / (2 * m! * m^(nu-1)).
+
+    Scaled in the log domain, so huge exact rationals never overflow.  A zero
+    value gives +0.0 whatever the sign factor.
+    """
+    log_gamma, gamma_sign = _log_gamma_signed(nu)
+    if value == 0:
+        return 0.0
+    sign = 1 if value > 0 else -1
+    log_mag = (
+        _log_abs(value)
+        + m * math.log(2 * math.pi)
+        + log_gamma
+        - math.log(2)
+        - math.lgamma(m + 1)
+        - (nu - 1) * math.log(m)
+    )
+    return sign_factor * sign * gamma_sign * math.exp(log_mag)
+
+
 def scaled_to_cosine(value: Fraction, k: int, nu: float) -> float:
     """(-1)^k * value * (2pi)^2k * Gamma(nu) / (2 * (2k)! * (2k)^(nu-1)).
 
@@ -129,19 +142,7 @@ def scaled_to_cosine(value: Fraction, k: int, nu: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    log_gamma, gamma_sign = _log_gamma_signed(nu)
-    if value == 0:
-        return 0.0
-    sign = 1 if value > 0 else -1
-    log_mag = (
-        _log_abs(value)
-        + 2 * k * math.log(2 * math.pi)
-        + log_gamma
-        - math.log(2)
-        - math.lgamma(2 * k + 1)
-        - (nu - 1) * math.log(2 * k)
-    )
-    return (-1) ** k * sign * gamma_sign * math.exp(log_mag)
+    return _log_scaled(value, 2 * k, nu, (-1) ** k)
 
 
 def cos_scaled_value(k: int, x, nu) -> float:
@@ -158,22 +159,8 @@ def sin_scaled_value(k: int, x, nu) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    m = 2 * k - 1
-    nu_f = float(nu)
-    log_gamma, gamma_sign = _log_gamma_signed(nu_f)
-    exact = centered_bernoulli_value(m, Fraction(x), Fraction(nu))
-    if exact == 0:
-        return 0.0
-    sign = 1 if exact > 0 else -1
-    log_mag = (
-        _log_abs(exact)
-        + m * math.log(2 * math.pi)
-        + log_gamma
-        - math.log(2)
-        - math.lgamma(m + 1)
-        - (nu_f - 1) * math.log(m)
-    )
-    return (-1) ** (k - 1) * sign * gamma_sign * math.exp(log_mag)
+    exact = centered_bernoulli_value(2 * k - 1, Fraction(x), Fraction(nu))
+    return _log_scaled(exact, 2 * k - 1, float(nu), (-1) ** (k - 1))
 
 
 def fourier_partial_sum(k: int, x: float, terms: int) -> float:

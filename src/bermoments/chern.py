@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .polynomials import MPoly
-from .series import TruncatedSeries, bernoulli_numbers, theta_series
+from .series import TruncatedSeries, theta_series
 
 __all__ = [
     "ChernData",
@@ -117,11 +117,11 @@ def _todd_exponent(m: int, t_order: int, cap: int) -> TruncatedSeries:
     `cap`.  Each t^j coefficient receives finitely many contributions because
     the weight of the (k', j) term is exactly 2k' - j.
     """
-    bern = bernoulli_numbers(t_order + cap + 1)
+    theta = theta_series(t_order + cap)
     coeffs = [MPoly() for _ in range(t_order + 1)]
     if m > 0:
         for kp in range(1, (t_order + cap) // 2 + 1):
-            factor = Fraction(-1, 2 * kp) * bern[2 * kp] / factorial(2 * kp)
+            factor = theta.coeff(2 * kp)
             j_lo = max(1, 2 * kp - cap)
             j_hi = min(2 * kp - 1, t_order)
             for j in range(j_lo, j_hi + 1):
@@ -223,16 +223,8 @@ def _integrate(poly: MPoly, data: ChernData, j: int) -> Fraction:
 
 
 def moment_from_chern(data: ChernData, k: int) -> Fraction:
-    """V_2k of the manifold, evaluated from its Chern numbers."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return data.number((data.n,))
-    total = Fraction(0)
-    for j in range(0, min(2 * k - 1, data.n) + 1):
-        q = chern_moment_poly(k, j).subs({NU: Fraction(data.n)})
-        total += _integrate(q, data, j)
-    return total
+    """V_2k of the manifold, evaluated from its Chern numbers (Gamma_2k at nu = 0)."""
+    return bernoulli_moment_from_chern(data, 0, k)
 
 
 def bernoulli_moment_from_chern(data: ChernData, nu, k: int) -> Fraction:
@@ -285,28 +277,27 @@ def chern_data_genus(g: int) -> ChernData:
     return ChernData(1, {(1,): Fraction(2 - 2 * g)})
 
 
-def builtin_chern_data(spec: str) -> ChernData:
-    """Dispatch 'pn:N', 'k3' or 'genus:G' to the builders above."""
+def _builtin(spec: str, pn, k3, genus):
+    """Parse 'pn:N', 'k3' or 'genus:G' and call the matching builder."""
     name, _, arg = spec.lower().partition(":")
     if name == "pn":
-        return chern_data_pn(int(arg))
+        return pn(int(arg))
     if name == "k3":
-        return chern_data_k3()
+        return k3()
     if name == "genus":
-        return chern_data_genus(int(arg))
+        return genus(int(arg))
     raise ValueError(f"unknown builtin manifold {spec!r}")
+
+
+def builtin_chern_data(spec: str) -> ChernData:
+    """Dispatch 'pn:N', 'k3' or 'genus:G' to the builders above."""
+    return _builtin(spec, chern_data_pn, chern_data_k3, chern_data_genus)
 
 
 def builtin_chi_vector(spec: str):
     """The chi vector of the same builtin manifolds."""
     from .moments import ChiVector
 
-    name, _, arg = spec.lower().partition(":")
-    if name == "pn":
-        return ChiVector(tuple([1] * (int(arg) + 1)))
-    if name == "k3":
-        return ChiVector((2, 20, 2))
-    if name == "genus":
-        g = int(arg)
-        return ChiVector((1 - g, 1 - g))
-    raise ValueError(f"unknown builtin manifold {spec!r}")
+    return ChiVector(
+        _builtin(spec, lambda n: (1,) * (n + 1), lambda: (2, 20, 2), lambda g: (1 - g, 1 - g))
+    )

@@ -2,7 +2,8 @@
 
 Subcommands emit TSV with exact p/q rationals; floats are printed with 12
 significant digits.  Exit codes: 0 success (and conjecture pass), 1
-conjecture failure, 2 usage or input error.
+conjecture failure, 2 usage or input error, reported as one 'error: ...'
+line on stderr.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .spectra import (
     Spectrum,
     TpqrParams,
     WeightSystem,
+    _read_records,
     spectrum_curve,
     spectrum_from_weights,
     spectrum_tpqr,
@@ -31,25 +33,36 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+def _type_error(parse):
+    """Report the ValueError or ZeroDivisionError of `parse` as an argparse type error."""
+
+    def parse_or_fail(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r} ({exc})") from None
+
+    return parse_or_fail
 
 
+_parse_fraction = _type_error(Fraction)
+
+
+@_type_error
 def _parse_weights(text: str) -> WeightSystem:
     return WeightSystem(tuple(Fraction(part) for part in text.split(",")))
 
 
+@_type_error
 def _parse_tpqr(text: str) -> TpqrParams:
     p, q, r = (int(part) for part in text.split(","))
     return TpqrParams(p, q, r)
 
 
+@_type_error
 def _parse_puiseux(text: str) -> tuple:
-    # validation happens when PuiseuxData is built, so bad invariants get a
-    # real diagnostic instead of an argparse usage message
+    # only the syntax is checked here; the invariants are checked when
+    # PuiseuxData is built, with their own diagnostics
     pairs = []
     for chunk in text.split(","):
         n, _, r = chunk.partition(":")
@@ -76,8 +89,15 @@ def _spectrum_from_args(args) -> Spectrum:
         return Spectrum.from_text(handle.read())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one 'error: ...' line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bermoments",
         description="Exact spectra, Bernoulli moments, and sign-conjecture checks.",
     )
@@ -143,24 +163,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_chern_file(path: str) -> ChernData:
-    n = None
-    numbers = {}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] == "n" and len(fields) == 2:
-                n = int(fields[1])
-            elif fields[0] == "partition" and len(fields) == 4 and fields[2] == "value":
-                partition = tuple(int(p) for p in fields[1].split(","))
-                numbers[partition] = Fraction(fields[3])
-            else:
-                raise ValueError(f"unrecognized Chern file line: {line!r}")
-    if n is None:
-        raise ValueError("Chern file is missing the 'n <int>' line")
+        n, records = _read_records(handle.read(), "partition", "value", "Chern")
+    numbers = {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records}
     return ChernData(n, numbers)
+
+
+def _print_rows(values) -> int:
+    """One 'k<TAB>value' row per value, k counting from 0."""
+    for k, value in enumerate(values):
+        print(f"{k}\t{value}")
+    return 0
 
 
 def _cmd_bernoulli(args) -> int:
@@ -178,8 +191,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_apoly(args) -> int:
     if (args.x is None) != (args.nu is None):
-        print("apoly needs both --x and --nu, or neither", file=sys.stderr)
-        return 2
+        raise ValueError("apoly needs both --x and --nu, or neither")
     if args.x is not None:
         print(centered_bernoulli_value(args.k, args.x, args.nu))
         return 0
@@ -209,14 +221,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_gamma(args) -> int:
     if (args.nu is None) == (args.mode is None):
-        print("gamma needs exactly one of --nu or --mode", file=sys.stderr)
-        return 2
+        raise ValueError("gamma needs exactly one of --nu or --mode")
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
     gamma = bernoulli_moments(moments_of_spectrum(spectrum, 2 * args.kmax), nu)
-    for k in range(args.kmax + 1):
-        print(f"{k}\t{gamma.moment(2 * k)}")
-    return 0
+    return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
 
 def _cmd_check(args) -> int:
@@ -246,20 +255,14 @@ def _cmd_nu_threshold(args) -> int:
 def _cmd_manifold(args) -> int:
     if args.mode == "chern":
         if (args.builtin is None) == (args.file is None):
-            print("manifold chern needs exactly one of --builtin or --file", file=sys.stderr)
-            return 2
+            raise ValueError("manifold chern needs exactly one of --builtin or --file")
         data = builtin_chern_data(args.builtin) if args.builtin else _read_chern_file(args.file)
-        for k in range(args.kmax + 1):
-            print(f"{k}\t{bernoulli_moment_from_chern(data, args.nu, k)}")
-        return 0
+        return _print_rows(bernoulli_moment_from_chern(data, args.nu, k) for k in range(args.kmax + 1))
     if args.chi is None or args.nu is None or args.kmax is None:
-        print("manifold needs --chi, --nu and --kmax (or the chern subcommand)", file=sys.stderr)
-        return 2
+        raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
     chi = ChiVector(tuple(int(part) for part in args.chi.split(",")))
     gamma = bernoulli_moments(moments_of_chi(chi, 2 * args.kmax), args.nu)
-    for k in range(args.kmax + 1):
-        print(f"{k}\t{gamma.moment(2 * k)}")
-    return 0
+    return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
 
 _HANDLERS = {
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -209,10 +209,7 @@ def curve_correction_terms(k: int, n1: int, n2: int, w1: int, w2: int) -> list:
 
     def mixed_sum(i: int) -> Fraction:
         # sum_{j=0}^{2(i-1)} w2^j * (w1 n1 n2)^(2(i-1)-j)
-        total = Fraction(0)
-        for j in range(2 * i - 1):
-            total += w2f**j * a ** (2 * (i - 1) - j)
-        return total
+        return a ** (2 * (i - 1)) * _geometric_sum(w2f / a, 2 * i - 1)
 
     terms = [
         -bern[2 * k] * _geometric_sum(n2f, 2 * k - 1) / n2f ** (2 * k - 1),

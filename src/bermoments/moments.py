@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import lcm
 from typing import Optional
 
 from .bernpoly import centered_bernoulli_value, generalized_bernoulli_value
-from .series import DEFAULT_ORDER, TruncatedSeries, bernoulli_numbers, theta_series
+from .series import DEFAULT_ORDER, TruncatedSeries, _even_series, bernoulli_numbers, theta_series
 from .spectra import Spectrum, TpqrParams, WeightSystem
 
 __all__ = [
@@ -85,18 +85,31 @@ class MomentSeries:
         return MomentSeries(self.series * other.series, nu)
 
 
+def _exp_sum(pairs, order: int) -> MomentSeries:
+    """The series sum_i m_i exp(a_i t) over pairs (a_i, m_i) symmetric about 0.
+
+    Only the even power sums sum_i m_i a_i^2k are formed; the odd ones cancel
+    by the symmetry that Spectrum and ChiVector check when they are built.
+    The a_i and m_i are written over common denominators, so each power sum
+    runs over integers.
+    """
+    pairs = [(Fraction(a), Fraction(m)) for a, m in pairs]
+    scale = lcm(*(a.denominator for a, _ in pairs))
+    unit = lcm(*(m.denominator for _, m in pairs))
+    squares = [(a * scale).numerator ** 2 for a, _ in pairs]
+    terms = [(m * unit).numerator for _, m in pairs]
+    sums = []
+    for _ in range(0, order + 1, 2):
+        sums.append(sum(terms))
+        terms = [term * square for term, square in zip(terms, squares)]
+    return MomentSeries(
+        _even_series(order, lambda two_k: Fraction(sums[two_k // 2], unit * scale**two_k))
+    )
+
+
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_i m_i exp(t*(alpha_i - (n-1)/2)); even by symmetry."""
-    coeffs = []
-    centered = s.centered()
-    powers = [Fraction(1)] * len(centered)
-    for k in range(order + 1):
-        total = Fraction(0)
-        for idx, (a, mult) in enumerate(centered):
-            total += mult * powers[idx]
-            powers[idx] *= a
-        coeffs.append(total / factorial(k))
-    return MomentSeries(TruncatedSeries(tuple(coeffs)))
+    return _exp_sum(s.centered(), order)
 
 
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
@@ -126,17 +139,22 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
 # -- closed forms for quasihomogeneous singularities ---------------------------
 
 
+def _weight_product(factor, ws: WeightSystem, order: int) -> TruncatedSeries:
+    """The product of factor(w, order) over the weights of `ws`."""
+    product = TruncatedSeries.one(order)
+    for w in ws.weights:
+        product = product * factor(w, order)
+    return product
+
+
 def _qh_moment_factor(w: Fraction, order: int) -> TruncatedSeries:
     """Factor with Gamma-free coefficients w^2k * 2/(2k+1) * B_(2k+1)(1/(2w))."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        value = (
-            w**two_k
-            * Fraction(2, two_k + 1)
-            * generalized_bernoulli_value(two_k + 1, 1, Fraction(1, 2 * w))
-        )
-        coeffs[two_k] = value / factorial(two_k)
-    return TruncatedSeries(tuple(coeffs))
+    x = Fraction(1, 2 * w)
+
+    def value_at(two_k):
+        return w**two_k * Fraction(2, two_k + 1) * generalized_bernoulli_value(two_k + 1, 1, x)
+
+    return _even_series(order, value_at)
 
 
 def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -145,10 +163,7 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
     One factor per weight, built from odd Bernoulli polynomial values; equals
     moments_of_spectrum(spectrum_from_weights(ws)).
     """
-    product = TruncatedSeries.one(order)
-    for w in ws.weights:
-        product = product * _qh_moment_factor(w, order)
-    return MomentSeries(product)
+    return MomentSeries(_weight_product(_qh_moment_factor, ws, order))
 
 
 def gamma_weight_factor(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -160,10 +175,7 @@ def gamma_weight_factor(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     w = Fraction(w)
     bern = bernoulli_numbers(order + 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        coeffs[two_k] = (-bern[two_k]) * (1 - w ** (two_k - 1)) / factorial(two_k)
-    return TruncatedSeries(tuple(coeffs))
+    return _even_series(order, lambda two_k: (-bern[two_k]) * (1 - w ** (two_k - 1)))
 
 
 def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -173,10 +185,7 @@ def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     coefficient has sign (-1)^k, which settles the strict sign prediction in
     the quasihomogeneous case.
     """
-    product = TruncatedSeries.one(order)
-    for w in ws.weights:
-        product = product * gamma_weight_factor(w, order)
-    return MomentSeries(product, Fraction(len(ws.weights)))
+    return MomentSeries(_weight_product(gamma_weight_factor, ws, order), Fraction(len(ws.weights)))
 
 
 def q_exponent_poly(k: int):
@@ -204,11 +213,14 @@ def q_factor_series(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if isinstance(w, (int, Fraction)):
         w = Fraction(w)
     bern = bernoulli_numbers(order + 1)
-    exponent = [w * 0] * (order + 1)
-    for two_k in range(2, order + 1, 2):
-        p = 1 - 2 * w + w**two_k - (1 - w) ** two_k
-        exponent[two_k] = Fraction(-1, two_k) * bern[two_k] * p / factorial(two_k)
-    return TruncatedSeries(tuple(exponent)).exp()
+    zero = w * 0
+
+    def exponent(two_k):
+        if not two_k:
+            return zero
+        return Fraction(-1, two_k) * bern[two_k] * (1 - 2 * w + w**two_k - (1 - w) ** two_k)
+
+    return _even_series(order, exponent, zero).exp()
 
 
 def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -217,10 +229,7 @@ def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     mu times the product of the Q factors of the weights; in particular the
     t^2 coefficient vanishes identically.
     """
-    product = TruncatedSeries.one(order)
-    for w in ws.weights:
-        product = product * q_factor_series(w, order)
-    return MomentSeries(product.scale(ws.mu), ws.spread)
+    return MomentSeries(_weight_product(q_factor_series, ws, order).scale(ws.mu), ws.spread)
 
 
 def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -229,13 +238,12 @@ def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentS
     Gamma_2k = B_2k * (-1 + p^(1-2k) + q^(1-2k) + r^(1-2k)).
     """
     bern = bernoulli_numbers(order + 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        bracket = Fraction(-1)
-        for m in (params.p, params.q, params.r):
-            bracket += Fraction(m) ** (1 - two_k)
-        coeffs[two_k] = bern[two_k] * bracket / factorial(two_k)
-    return MomentSeries(TruncatedSeries(tuple(coeffs)), Fraction(1))
+    sides = (Fraction(params.p), Fraction(params.q), Fraction(params.r))
+
+    def value_at(two_k):
+        return bern[two_k] * (sum(m ** (1 - two_k) for m in sides) - 1)
+
+    return MomentSeries(_even_series(order, value_at), Fraction(1))
 
 
 # -- compact complex manifolds ---------------------------------------------------
@@ -264,17 +272,7 @@ class ChiVector:
 
 def moments_of_chi(chi: ChiVector, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_p chi_p exp(t*(p - n/2)); even by Serre symmetry."""
-    n = chi.n
-    coeffs = []
-    exps = [Fraction(2 * p - n, 2) for p in range(n + 1)]
-    powers = [Fraction(1)] * (n + 1)
-    for k in range(order + 1):
-        total = Fraction(0)
-        for p, c in enumerate(chi.chi):
-            total += c * powers[p]
-            powers[p] *= exps[p]
-        coeffs.append(total / factorial(k))
-    return MomentSeries(TruncatedSeries(tuple(coeffs)))
+    return _exp_sum(((Fraction(2 * p - chi.n, 2), c) for p, c in enumerate(chi.chi)), order)
 
 
 def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -285,11 +283,11 @@ def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        value = Fraction(-2, two_k + 1) * generalized_bernoulli_value(two_k + 1, n + 1, 0)
-        coeffs[two_k] = value / factorial(two_k)
-    return MomentSeries(TruncatedSeries(tuple(coeffs)), Fraction(n))
+
+    def value_at(two_k):
+        return Fraction(-2, two_k + 1) * generalized_bernoulli_value(two_k + 1, n + 1, 0)
+
+    return MomentSeries(_even_series(order, value_at), Fraction(n))
 
 
 def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -298,13 +296,13 @@ def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
     Gamma_2k = -4/(2k+1) * B_(2k+1)^(3)(0) + 18 * B_2k^(2)(1); the signed
     values vanish at k = 1 and equal 24(2k-1)|B_2k| afterwards.
     """
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        value = Fraction(-4, two_k + 1) * generalized_bernoulli_value(
+
+    def value_at(two_k):
+        return Fraction(-4, two_k + 1) * generalized_bernoulli_value(
             two_k + 1, 3, 0
         ) + 18 * generalized_bernoulli_value(two_k, 2, 1)
-        coeffs[two_k] = value / factorial(two_k)
-    return MomentSeries(TruncatedSeries(tuple(coeffs)), Fraction(2))
+
+    return MomentSeries(_even_series(order, value_at), Fraction(2))
 
 
 def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -313,7 +311,4 @@ def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     Gamma_2k = (1 - g) * 2 * B_2k.
     """
     bern = bernoulli_numbers(order + 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        coeffs[two_k] = (1 - g) * 2 * bern[two_k] / factorial(two_k)
-    return MomentSeries(TruncatedSeries(tuple(coeffs)), Fraction(1))
+    return MomentSeries(_even_series(order, lambda two_k: (1 - g) * 2 * bern[two_k]), Fraction(1))

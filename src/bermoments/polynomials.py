@@ -51,6 +51,17 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _collect(pairs) -> dict:
+    """Sum the coefficients of equal monomials and drop the zero sums."""
+    terms: dict = {}
+    for mono, coeff in pairs:
+        if mono in terms:
+            terms[mono] += coeff
+        else:
+            terms[mono] = coeff
+    return {mono: coeff for mono, coeff in terms.items() if coeff}
+
+
 class MPoly:
     """A polynomial in named variables with Fraction coefficients."""
 
@@ -81,16 +92,7 @@ class MPoly:
 
     @classmethod
     def from_terms(cls, items: Iterable) -> "MPoly":
-        terms: dict = {}
-        for mono, coeff in items:
-            mono = _mono_canon(mono)
-            coeff = Fraction(coeff)
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return cls(terms)
+        return cls(_collect((_mono_canon(mono), Fraction(coeff)) for mono, coeff in items))
 
     # -- access ---------------------------------------------------------------
 
@@ -143,14 +145,7 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = acc
-        return MPoly(terms)
+        return MPoly(_collect([*self._terms.items(), *other._terms.items()]))
 
     __radd__ = __add__
 
@@ -173,16 +168,13 @@ class MPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = terms.get(mono, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = acc
-        return MPoly(terms)
+        return MPoly(
+            _collect(
+                (_mono_mul(m1, m2), c1 * c2)
+                for m1, c1 in self._terms.items()
+                for m2, c2 in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -215,20 +207,14 @@ class MPoly:
     # -- calculus and substitution ------------------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
-        terms: dict = {}
+        pairs = []
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.get(name, 0)
-            if not e:
-                continue
-            exps[name] = e - 1
-            new_mono = _mono_canon(exps)
-            acc = terms.get(new_mono, Fraction(0)) + coeff * e
-            if acc == 0:
-                terms.pop(new_mono, None)
-            else:
-                terms[new_mono] = acc
-        return MPoly(terms)
+            if e:
+                exps[name] = e - 1
+                pairs.append((_mono_canon(exps), coeff * e))
+        return MPoly(_collect(pairs))
 
     def subs(self, mapping: Mapping) -> "MPoly":
         """Substitute variables; values may be scalars or polynomials."""

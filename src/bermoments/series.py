@@ -107,8 +107,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._require_same_order(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
         return TruncatedSeries(tuple(-a for a in self.coeffs))
@@ -186,25 +185,33 @@ class TruncatedSeries:
 
 def exp_linear(a, order: int) -> TruncatedSeries:
     """Truncation of e**(a*t); coefficient k is a**k / k!."""
-    a = Fraction(a)
-    coeffs = []
-    power = Fraction(1)
-    for k in range(order + 1):
-        coeffs.append(power / factorial(k))
-        power *= a
-    return TruncatedSeries(tuple(coeffs))
+    exp_t = TruncatedSeries(tuple(Fraction(1, factorial(k)) for k in range(order + 1)))
+    return exp_t.scale_arg(Fraction(a))
 
 
-@lru_cache(maxsize=None)
+# B_0, B_1, B_2, ...: grown by _bernoulli to the largest count asked for so far
+_BERNOULLI = (Fraction(1), Fraction(-1, 2))
+
+
 def _bernoulli(count: int) -> tuple:
-    out = [Fraction(1)]
-    for k in range(2, count + 1):
-        # 0 = sum_{j<k} C(k,j) B_j determines B_{k-1}
-        acc = Fraction(0)
-        for j in range(k - 1):
-            acc += comb(k, j) * out[j]
-        out.append(-acc / comb(k, k - 1))
-    return tuple(out[:count])
+    """B_0 .. B_{count-1} from the one growing table.
+
+    The recursion 0 = sum_{j<=m} C(m+1, j) B_j runs over even m only: the odd
+    values beyond B_1 vanish and are stored as 0, and the j = 0, 1 terms
+    contribute 1 - (m+1)/2.  The table is extended into a new tuple, so a
+    returned slice never changes.
+    """
+    global _BERNOULLI
+    if count > len(_BERNOULLI):
+        table = list(_BERNOULLI)
+        for m in range(len(table), count):
+            if m % 2:
+                table.append(Fraction(0))
+            else:
+                terms = (comb(m + 1, j) * table[j] for j in range(2, m - 1, 2))
+                table.append(-sum(terms, Fraction(1 - m, 2)) / (m + 1))
+        _BERNOULLI = tuple(table)
+    return _BERNOULLI[:count]
 
 
 def bernoulli_numbers(count: int) -> list:
@@ -217,6 +224,19 @@ def bernoulli_numbers(count: int) -> list:
     return list(_bernoulli(count))
 
 
+def _even_series(order: int, value_at, zero=Fraction(0)) -> TruncatedSeries:
+    """The even series sum_k value_at(2k) t^2k/(2k)! truncated at `order`.
+
+    ``value_at`` maps an even index to the factorial-normalized coefficient
+    there; odd coefficients are `zero`, which a symbolic caller sets to the
+    zero of its coefficient ring.
+    """
+    coeffs = [zero] * (order + 1)
+    for two_k in range(0, order + 1, 2):
+        coeffs[two_k] = value_at(two_k) / factorial(two_k)
+    return TruncatedSeries(tuple(coeffs))
+
+
 @lru_cache(maxsize=None)
 def theta_series(order: int) -> TruncatedSeries:
     """log((t/2)/sinh(t/2)) truncated at `order`.
@@ -226,17 +246,12 @@ def theta_series(order: int) -> TruncatedSeries:
     is what turns plain moments into Bernoulli moments.
     """
     bern = _bernoulli(order + 1)
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(2, order + 1, 2):
-        coeffs[two_k] = Fraction(-1, two_k) * bern[two_k] / factorial(two_k)
-    return TruncatedSeries(tuple(coeffs))
+    return _even_series(
+        order, lambda two_k: Fraction(-1, two_k) * bern[two_k] if two_k else Fraction(0)
+    )
 
 
 @lru_cache(maxsize=None)
 def sinhc_half(order: int) -> TruncatedSeries:
     """sinh(t/2)/(t/2) truncated at `order`; exp(-theta_series)."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        k = two_k // 2
-        coeffs[two_k] = Fraction(1, 4**k * factorial(two_k + 1))
-    return TruncatedSeries(tuple(coeffs))
+    return _even_series(order, lambda two_k: Fraction(1, 2**two_k * (two_k + 1)))

@@ -10,7 +10,7 @@ Constructors:
 
 * :func:`spectrum_from_weights` expands the product generating function of a
   quasihomogeneous singularity with normalized weights in (0, 1/2] by exact
-  polynomial division.
+  division of its numerator by each binomial 1 - S^a.
 * :func:`spectrum_tpqr` builds the hyperbolic surface singularity spectrum
   {0, 1} plus the interior fractions with denominators p, q, r.
 * :func:`spectrum_curve` expands the Eisenbud-Neumann generating function of
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 __all__ = [
     "Spectrum",
@@ -35,6 +36,30 @@ __all__ = [
     "thom_sebastiani",
     "abstract_spectrum",
 ]
+
+
+def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
+    """(n, [(key, value), ...]) from 'n <int>' and '<record> <key> <label> <value>' lines.
+
+    Blank lines and '#' comments are skipped; keys and values stay strings.
+    The spectrum and Chern-number text formats are both read this way.
+    """
+    n = None
+    records = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "n" and len(fields) == 2:
+            n = int(fields[1])
+        elif fields[0] == record and len(fields) == 4 and fields[2] == label:
+            records.append((fields[1], fields[3]))
+        else:
+            raise ValueError(f"unrecognized {kind} file line: {line!r}")
+    if n is None:
+        raise ValueError(f"{kind} file is missing the 'n <int>' line")
+    return n, records
 
 
 def _normalize_entries(entries):
@@ -103,22 +128,8 @@ class Spectrum:
 
     @classmethod
     def from_text(cls, text: str) -> "Spectrum":
-        n = None
-        entries = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] == "n" and len(fields) == 2:
-                n = int(fields[1])
-            elif fields[0] == "alpha" and len(fields) == 4 and fields[2] == "mult":
-                entries.append((Fraction(fields[1]), Fraction(fields[3])))
-            else:
-                raise ValueError(f"unrecognized spectrum line: {line!r}")
-        if n is None:
-            raise ValueError("spectrum file is missing the 'n <int>' line")
-        return cls(n, tuple(entries))
+        n, records = _read_records(text, "alpha", "mult", "spectrum")
+        return cls(n, tuple((Fraction(alpha), Fraction(mult)) for alpha, mult in records))
 
 
 @dataclass(frozen=True)
@@ -235,56 +246,31 @@ class PuiseuxData:
 # -- exact dense polynomial helpers (integer coefficients in the variable S) --
 
 
-def _pmul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _binomial_quotient(steps, denom: int) -> list:
+    """prod (S^a - S^denom)/(1 - S^a) over a in `steps`, as dense coefficients.
 
-
-def _pdivexact(num: list, den: list) -> list:
-    """Exact quotient num/den over the integers; raises if a remainder is left."""
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    while len(num) < len(den):
-        num.append(0)
-    lead = den[-1]
-    quot = [0] * (len(num) - len(den) + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead:
-            raise ValueError("inexact polynomial division")
-        q = c // lead
-        quot[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num):
-        raise ValueError("polynomial division left a remainder")
-    return quot
-
-
-def _geometric_block(m: int, denom: int) -> list:
-    """(T^(1/m) - T)/(1 - T^(1/m)) as a polynomial in S = T^(1/denom).
-
-    Expanded by exact division; equals S^(denom/m) + S^(2*denom/m) + ...
-    + S^((m-1)*denom/m).
+    The sparse numerator is expanded first.  Each division by 1 - S^a is the
+    strided prefix sum q[e] += q[e - a]; the quotient is exact iff the top a
+    coefficients of that sum vanish, and otherwise a ValueError reports the
+    remainder.
     """
-    step = denom // m
-    num = [0] * (denom + 1)
-    num[step] += 1
-    num[denom] -= 1
-    den = [0] * (step + 1)
-    den[0] = 1
-    den[step] = -1
-    return _pdivexact(num, den)
+    num = {0: 1}
+    for a in steps:
+        product: dict = {}
+        for e, c in num.items():
+            product[e + a] = product.get(e + a, 0) + c
+            product[e + denom] = product.get(e + denom, 0) - c
+        num = product
+    quot = [0] * (len(steps) * denom + 1)
+    for e, c in num.items():
+        quot[e] = c
+    for a in steps:
+        for r in range(a):
+            quot[r::a] = accumulate(quot[r::a])
+        if any(quot[-a:]):
+            raise ValueError(f"polynomial division by 1 - S^{a} left a remainder")
+        del quot[-a:]
+    return quot
 
 
 def _entries_from_dense(coeffs: list, denom: int, shift: Fraction = Fraction(1)):
@@ -306,21 +292,8 @@ def spectrum_from_weights(ws: WeightSystem) -> Spectrum:
     result, shifted down by 1, are the spectral numbers.  A division
     remainder means the weights do not belong to a singularity.
     """
-    weights = ws.weights
-    denom = math.lcm(*(w.denominator for w in weights))
-    num = [1]
-    den = [1]
-    for w in weights:
-        a = int(w * denom)
-        f_num = [0] * (denom + 1)
-        f_num[a] += 1
-        f_num[denom] -= 1
-        f_den = [0] * (a + 1)
-        f_den[0] = 1
-        f_den[a] = -1
-        num = _pmul(num, f_num)
-        den = _pmul(den, f_den)
-    quot = _pdivexact(num, den)
+    denom = math.lcm(*(w.denominator for w in ws.weights))
+    quot = _binomial_quotient([int(w * denom) for w in ws.weights], denom)
     return Spectrum(ws.n, tuple(_entries_from_dense(quot, denom)))
 
 
@@ -337,32 +310,21 @@ def spectrum_tpqr(params: TpqrParams) -> Spectrum:
 def spectrum_curve(data: PuiseuxData) -> Spectrum:
     """Spectrum of an irreducible plane curve branch from its Puiseux pairs.
 
-    Expands the alternating Eisenbud-Neumann sum of products of geometric
-    blocks over a common denominator and checks that the combination has
-    nonnegative integer coefficients.
+    Expands the alternating Eisenbud-Neumann sum of products of two geometric
+    blocks (T^(1/m) - T)/(1 - T^(1/m)) over a common denominator and checks
+    that the combination has nonnegative integer coefficients.
     """
-    g = data.g
     w = (None,) + data.w  # 1-based
     np = data.nprime  # 0-based: n'_0 .. n'_g
-    moduli = {np[0], w[1] * np[1]}
-    for k in range(1, g):
-        moduli.update({w[k + 1] * np[k + 1], w[k] * np[k - 1], np[k]})
-    denom = math.lcm(*moduli)
-
+    # (sign, m1, m2): one signed product of the geometric blocks of m1 and m2
+    terms = [(1, np[0], w[1] * np[1])]
+    for k in range(1, data.g):
+        terms += [(1, w[k + 1] * np[k + 1], np[k]), (-1, w[k] * np[k - 1], np[k])]
+    denom = math.lcm(*(m for _, m1, m2 in terms for m in (m1, m2)))
     total = [0] * (2 * denom + 1)
-
-    def _accumulate(poly, sign=1):
-        for e, c in enumerate(poly):
-            if c:
-                total[e] += sign * c
-
-    _accumulate(_pmul(_geometric_block(np[0], denom), _geometric_block(w[1] * np[1], denom)))
-    for k in range(1, g):
-        plus = _geometric_block(w[k + 1] * np[k + 1], denom)
-        minus = _geometric_block(w[k] * np[k - 1], denom)
-        block = _geometric_block(np[k], denom)
-        _accumulate(_pmul(plus, block))
-        _accumulate(_pmul(minus, block), sign=-1)
+    for sign, m1, m2 in terms:
+        for e, c in enumerate(_binomial_quotient((denom // m1, denom // m2), denom)):
+            total[e] += sign * c
     return Spectrum(1, tuple(_entries_from_dense(total, denom)))
 
 

@@ -1,6 +1,12 @@
 """Command-line surface: formats and exit codes."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bermoments.cli import main
 
@@ -184,3 +190,41 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--weights", "1/0", "--nu", "1", "--kmax", "2"),
+        ("spectrum", "qh", "--weights", "1/3,3/4"),
+        ("gamma", "--tpqr", "2,3", "--nu", "1", "--kmax", "2"),
+        ("spectrum", "curve", "--puiseux", "2"),
+        ("gamma", "--weights", "1/3,1/2", "--nu", "1/0", "--kmax", "2"),
+        ("spectrum", "qh", "--weights", "2/5,1/3"),
+        ("spectrum", "qh"),
+        ("no-such-command",),
+        ("gamma", "--weights", "1/2", "--kmax", "2"),
+    ],
+)
+def test_input_errors_are_one_line(capsys, argv):
+    assert_one_error_line(*run(capsys, *argv))
+
+
+@given(text=st.text(alphabet="0123456789/,-+ ", max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_weights_fuzz(text):
+    # short strings keep the common denominator, and so the work, small
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["spectrum", "qh", "--weights", text])
+    if code == 0:
+        assert out.getvalue().startswith("n ") and not err.getvalue()
+    else:
+        assert_one_error_line(code, out.getvalue(), err.getvalue())

@@ -1,7 +1,9 @@
 """Spectrum constructors and their invariants."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -57,8 +59,20 @@ class TestWeightSystems:
         assert_valid(d6)
 
     def test_unrealizable_weights_leave_a_remainder(self):
-        with pytest.raises(ValueError, match="remainder|inexact"):
-            spectrum_from_weights(WeightSystem((F(2, 5), F(1, 3))))
+        for weights in [(F(2, 5), F(1, 3)), (F(3, 7), F(2, 9), F(1, 2))]:
+            with pytest.raises(ValueError, match="remainder|inexact"):
+                spectrum_from_weights(WeightSystem(weights))
+
+    @given(denoms=st.lists(st.integers(2, 12), min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_brieskorn_pham_lattice_sum(self, denoms):
+        # x_0^a_0 + ... + x_n^a_n has the spectrum {sum k_i/a_i - 1 : 1 <= k_i < a_i}
+        lattice = Counter(
+            sum(F(k, a) for k, a in zip(ks, denoms)) - 1
+            for ks in product(*(range(1, a) for a in denoms))
+        )
+        s = spectrum_from_weights(WeightSystem(tuple(F(1, a) for a in denoms)))
+        assert s.entries == tuple(sorted((alpha, F(m)) for alpha, m in lattice.items()))
 
     def test_weight_range_enforced(self):
         with pytest.raises(ValueError):
