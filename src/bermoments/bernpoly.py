@@ -63,7 +63,7 @@ def centered_bernoulli_at_zero(k: int) -> MPoly:
     return _zero_values(k, None)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def centered_bernoulli_poly(k: int) -> MPoly:
     """A_k(x, nu) as an exact polynomial in x and nu.
 

@@ -22,6 +22,7 @@ from math import comb, factorial
 
 from .polynomials import MPoly
 from .series import TruncatedSeries, theta_series
+from .spectra import _read_records
 
 __all__ = [
     "ChernData",
@@ -75,7 +76,7 @@ def y_weight_degree(poly: MPoly) -> int:
     return max((_mono_weight(mono) for mono, _ in poly.terms()), default=0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def power_sum_in_elementary(r: int, m: int) -> MPoly:
     """The power sum p_r(x_1..x_m) written in the elementary symmetric y_i.
 
@@ -109,46 +110,38 @@ def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
     return (-1) ** (j + 1) * comb(2 * k, j) * power_sum_in_elementary(2 * k - j, m)
 
 
-@lru_cache(maxsize=None)
-def _todd_exponent(m: int, t_order: int, cap: int) -> TruncatedSeries:
-    """sum_i [theta(x_i) - theta(x_i - t) + theta(t)] as a series in t.
+@lru_cache(maxsize=64)
+def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> TruncatedSeries:
+    """exp(sum_i [theta(x_i) - theta(x_i - t) + theta(t)] - nu * theta(t)) in t.
 
-    Coefficients are symmetric polynomials, truncated at weighted degree
-    `cap`.  Each t^j coefficient receives finitely many contributions because
-    the weight of the (k', j) term is exactly 2k' - j.
+    Coefficients are symmetric polynomials truncated at weighted degree
+    `cap`.  The (k', j) term of the exponent has weight exactly 2k' - j, so
+    each t^j coefficient receives finitely many contributions; nu * theta has
+    weight 0.  Weights add under multiplication and are never negative, so
+    truncating each coefficient of the exponential as it is formed keeps
+    exactly what truncating the full expansion would.  `nu` is rational, or
+    None for a symbolic nu, as in ``bernpoly._zero_values``.
     """
     theta = theta_series(t_order + cap)
-    coeffs = [MPoly() for _ in range(t_order + 1)]
+    twist = MPoly.var(NU) if nu is None else MPoly.const(nu)
+    exponent = [twist * -theta.coeff(j) for j in range(t_order + 1)]
     if m > 0:
         for kp in range(1, (t_order + cap) // 2 + 1):
-            factor = theta.coeff(2 * kp)
-            j_lo = max(1, 2 * kp - cap)
-            j_hi = min(2 * kp - 1, t_order)
-            for j in range(j_lo, j_hi + 1):
-                coeffs[j] = coeffs[j] + factor * shift_difference_poly(kp, j, m)
+            for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
+                exponent[j] = exponent[j] + theta.coeff(2 * kp) * shift_difference_poly(kp, j, m)
+    # E' = s'E, one coefficient at a time
+    coeffs = [MPoly.const(1)]
+    for k in range(1, t_order + 1):
+        acc = sum((j * exponent[j] * coeffs[k - j] for j in range(1, k + 1)), MPoly())
+        coeffs.append(weight_truncate(acc / k, cap))
     return TruncatedSeries(tuple(coeffs))
-
-
-@lru_cache(maxsize=None)
-def _todd_series(m: int, t_order: int, cap: int) -> TruncatedSeries:
-    expanded = _todd_exponent(m, t_order, cap).exp()
-    return TruncatedSeries(tuple(weight_truncate(MPoly() + c, cap) for c in expanded.coeffs))
-
-
-@lru_cache(maxsize=None)
-def _twisted_series(m: int, t_order: int, cap: int) -> TruncatedSeries:
-    nu = MPoly.var(NU)
-    twist = theta_series(t_order).scale(-1 * nu).exp()
-    product = _todd_series(m, t_order, cap) * twist
-    return TruncatedSeries(tuple(weight_truncate(MPoly() + c, cap) for c in product.coeffs))
 
 
 def todd_factor_poly(k: int, l: int, m: int) -> MPoly:
     """b_kl: the weight-l part of the t^k coefficient of the Todd exponential."""
     if k < 1 or l < 1:
         raise ValueError("need k >= 1 and l >= 1")
-    series = _todd_series(m, k, l)
-    return graded_part(MPoly() + series.coeff(k), l)
+    return graded_part(_twisted_series(m, k, l, 0).coeff(k), l)
 
 
 def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
@@ -159,8 +152,7 @@ def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
     """
     if k < 0 or l < 0:
         raise ValueError("need k >= 0 and l >= 0")
-    series = _twisted_series(m, k, l)
-    return graded_part(MPoly() + series.coeff(k), l)
+    return graded_part(_twisted_series(m, k, l).coeff(k), l)
 
 
 def d_poly(k: int, j: int, m: int) -> MPoly:
@@ -170,7 +162,7 @@ def d_poly(k: int, j: int, m: int) -> MPoly:
     return factorial(k) * (-1) ** j * twisted_todd_poly(k - j, j, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def chern_moment_poly(k: int, j: int) -> MPoly:
     """q_kj(nu, y_1..y_j): the universal Chern-number coefficient polynomial.
 
@@ -206,6 +198,12 @@ class ChernData:
         except KeyError:
             raise KeyError(f"missing Chern number for partition {key}") from None
 
+    @classmethod
+    def from_text(cls, text: str) -> "ChernData":
+        """Read 'n <int>' and 'partition <p1,p2,...> value <number>' lines."""
+        n, records = _read_records(text, "partition", "value", "Chern")
+        return cls(n, {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records})
+
 
 def _integrate(poly: MPoly, data: ChernData, j: int) -> Fraction:
     """Pair a weight-j polynomial in the y_i (Chern classes) with c_(n-j)."""
@@ -228,17 +226,20 @@ def moment_from_chern(data: ChernData, k: int) -> Fraction:
 
 
 def bernoulli_moment_from_chern(data: ChernData, nu, k: int) -> Fraction:
-    """Gamma_2k(V(X), nu) from Chern numbers; the nu argument becomes n - nu."""
+    """Gamma_2k(V(X), nu) from Chern numbers; the nu argument becomes n - nu.
+
+    Every q_kj of this k is the weight-j part of one expansion at the rational
+    value n - nu, with m = cap = n (stable in m, see the module docstring).
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return data.number((data.n,))
-    nu = Fraction(nu)
+    series = _twisted_series(data.n, 2 * k, data.n, data.n - Fraction(nu))
     total = Fraction(0)
     for j in range(0, min(2 * k - 1, data.n) + 1):
-        q = chern_moment_poly(k, j).subs({NU: Fraction(data.n) - nu})
-        total += _integrate(q, data, j)
-    return total
+        total += (-1) ** j * _integrate(graded_part(series.coeff(2 * k - j), j), data, j)
+    return factorial(2 * k) * total
 
 
 def partitions_of(n: int) -> list:

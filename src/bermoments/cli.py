@@ -22,7 +22,6 @@ from .spectra import (
     Spectrum,
     TpqrParams,
     WeightSystem,
-    _read_records,
     spectrum_curve,
     spectrum_from_weights,
     spectrum_tpqr,
@@ -162,13 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_chern_file(path: str) -> ChernData:
-    with open(path, encoding="utf-8") as handle:
-        n, records = _read_records(handle.read(), "partition", "value", "Chern")
-    numbers = {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records}
-    return ChernData(n, numbers)
-
-
 def _print_rows(values) -> int:
     """One 'k<TAB>value' row per value, k counting from 0."""
     for k, value in enumerate(values):
@@ -256,7 +248,11 @@ def _cmd_manifold(args) -> int:
     if args.mode == "chern":
         if (args.builtin is None) == (args.file is None):
             raise ValueError("manifold chern needs exactly one of --builtin or --file")
-        data = builtin_chern_data(args.builtin) if args.builtin else _read_chern_file(args.file)
+        if args.builtin:
+            data = builtin_chern_data(args.builtin)
+        else:
+            with open(args.file, encoding="utf-8") as handle:
+                data = ChernData.from_text(handle.read())
         return _print_rows(bernoulli_moment_from_chern(data, args.nu, k) for k in range(args.kmax + 1))
     if args.chi is None or args.nu is None or args.kmax is None:
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")

@@ -237,7 +237,7 @@ def _even_series(order: int, value_at, zero=Fraction(0)) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def theta_series(order: int) -> TruncatedSeries:
     """log((t/2)/sinh(t/2)) truncated at `order`.
 
@@ -251,7 +251,7 @@ def theta_series(order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def sinhc_half(order: int) -> TruncatedSeries:
     """sinh(t/2)/(t/2) truncated at `order`; exp(-theta_series)."""
     return _even_series(order, lambda two_k: Fraction(1, 2**two_k * (two_k + 1)))

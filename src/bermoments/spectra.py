@@ -245,6 +245,21 @@ class PuiseuxData:
 
 # -- exact dense polynomial helpers (integer coefficients in the variable S) --
 
+# Largest dense expansion (coefficients of S = T^(1/D)) a spectrum may need;
+# (1/11, 1/13, 1/17, 1/19) needs 4 * 46189 + 1 = 184757.
+MAX_DENSE_LENGTH = 2**18
+
+
+def _dense_length(factors: int, denom: int) -> int:
+    """factors * denom + 1, refused above MAX_DENSE_LENGTH before anything is allocated."""
+    length = factors * denom + 1
+    if length > MAX_DENSE_LENGTH:
+        raise ValueError(
+            f"the expansion over the common denominator {denom} needs {length} "
+            f"coefficients, above the cap of {MAX_DENSE_LENGTH}"
+        )
+    return length
+
 
 def _binomial_quotient(steps, denom: int) -> list:
     """prod (S^a - S^denom)/(1 - S^a) over a in `steps`, as dense coefficients.
@@ -254,6 +269,7 @@ def _binomial_quotient(steps, denom: int) -> list:
     coefficients of that sum vanish, and otherwise a ValueError reports the
     remainder.
     """
+    quot = [0] * _dense_length(len(steps), denom)
     num = {0: 1}
     for a in steps:
         product: dict = {}
@@ -261,7 +277,6 @@ def _binomial_quotient(steps, denom: int) -> list:
             product[e + a] = product.get(e + a, 0) + c
             product[e + denom] = product.get(e + denom, 0) - c
         num = product
-    quot = [0] * (len(steps) * denom + 1)
     for e, c in num.items():
         quot[e] = c
     for a in steps:
@@ -321,7 +336,7 @@ def spectrum_curve(data: PuiseuxData) -> Spectrum:
     for k in range(1, data.g):
         terms += [(1, w[k + 1] * np[k + 1], np[k]), (-1, w[k] * np[k - 1], np[k])]
     denom = math.lcm(*(m for _, m1, m2 in terms for m in (m1, m2)))
-    total = [0] * (2 * denom + 1)
+    total = [0] * _dense_length(2, denom)
     for sign, m1, m2 in terms:
         for e, c in enumerate(_binomial_quotient((denom // m1, denom // m2), denom)):
             total[e] += sign * c

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bermoments import (
     ChernData,
@@ -19,14 +21,16 @@ from bermoments import (
     moments_of_chi,
     power_sum_in_elementary,
 )
-from bermoments import TruncatedSeries
+from bermoments import TruncatedSeries, theta_series
 from bermoments.chern import (
+    _twisted_series,
     d_poly,
     graded_part,
     partitions_of,
     shift_difference_poly,
     todd_factor_poly,
     twisted_todd_poly,
+    weight_truncate,
     y_weight_degree,
 )
 from bermoments.bernpoly import centered_bernoulli_at_zero
@@ -142,6 +146,66 @@ class TestToddFactors:
                 assert d_poly(k, j, j) == d_poly(k, j, j + 1) == d_poly(k, j, j + 2)
 
 
+def exp_then_truncate(m, t_order, cap):
+    """The expansion without early truncation: exp(exponent), truncated, times exp(-nu theta)."""
+    theta = theta_series(t_order + cap)
+    exponent = [MPoly() for _ in range(t_order + 1)]
+    for kp in range(1, (t_order + cap) // 2 + 1):
+        for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
+            exponent[j] = exponent[j] + theta.coeff(2 * kp) * shift_difference_poly(kp, j, m)
+    todd = TruncatedSeries(
+        tuple(weight_truncate(MPoly() + c, cap) for c in TruncatedSeries(tuple(exponent)).exp().coeffs)
+    )
+    product = todd * theta_series(t_order).scale(-1 * nu).exp()
+    return [weight_truncate(MPoly() + c, cap) for c in product.coeffs]
+
+
+class TestGradedExpansion:
+    def test_early_truncation_matches_full_expansion(self):
+        for m in (1, 2, 3):
+            for cap in (0, 1, 2, 3):
+                for t_order in range(7):
+                    expected = exp_then_truncate(m, t_order, cap)
+                    assert list(_twisted_series(m, t_order, cap).coeffs) == expected
+                    for value in (F(0), F(5, 2), F(-7, 3)):
+                        at_value = [c.subs({"nu": value}) for c in expected]
+                        assert list(_twisted_series(m, t_order, cap, value).coeffs) == at_value
+
+
+def integrate_by_definition(poly, data, j):
+    """Pair each monomial y_i1..y_ir with the Chern number of (i1..ir, n - j)."""
+    total = F(0)
+    for mono, coeff in poly.terms():
+        partition = [int(name[1:]) for name, e in mono for _ in range(e)]
+        total += coeff * data.number(partition + ([data.n - j] if j < data.n else []))
+    return total
+
+
+def chern_data_st():
+    def numbers(n):
+        parts = partitions_of(n)
+        values = st.lists(st.integers(-50, 50), min_size=len(parts), max_size=len(parts))
+        return values.map(lambda vs: ChernData(n, dict(zip(parts, vs))))
+
+    return st.integers(1, 3).flatmap(numbers)
+
+
+@given(
+    data=chern_data_st(),
+    nu_value=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    k=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_bernoulli_moment_matches_symbolic_polynomials(data, nu_value, k):
+    # arbitrary integer Chern numbers need not come from a manifold, so the
+    # chi route cannot check these; the symbolic q_kj can
+    expected = F(0)
+    for j in range(min(2 * k - 1, data.n) + 1):
+        q = chern_moment_poly(k, j).subs({"nu": data.n - nu_value})
+        expected += integrate_by_definition(q, data, j)
+    assert bernoulli_moment_from_chern(data, nu_value, k) == expected
+
+
 class TestBookkeepingProduct:
     def test_degree_m_part_of_product(self):
         # multiplying the twisted series by sum_i y_(m-i) (-t)^i and taking
@@ -225,6 +289,13 @@ class TestChernData:
         with pytest.raises(KeyError):
             chern_data_k3().number((1,))
 
+    def test_text_format(self):
+        # the Chern-number file of the README
+        data = ChernData.from_text("n 2\npartition 2 value 3\npartition 1,1 value 9\n")
+        assert data.n == 2 and data.numbers == chern_data_pn(2).numbers
+        with pytest.raises(ValueError, match="unrecognized Chern file line"):
+            ChernData.from_text("n 2\npartition 2 3\n")
+
     def test_builtin_dispatch(self):
         assert builtin_chern_data("pn:2").number((1, 1)) == 9
         assert builtin_chi_vector("k3").chi == (2, 20, 2)
@@ -253,7 +324,7 @@ class TestManifoldValues:
                 assert moment_from_chern(data, k) == v.moment(2 * k)
 
     def test_bernoulli_moments_match_chi_route_at_dimension(self):
-        for spec in BUILTINS:
+        for spec in BUILTINS + ["pn:4", "pn:5"]:
             data = builtin_chern_data(spec)
             v = moments_of_chi(builtin_chi_vector(spec), 8)
             gamma = bernoulli_moments(v, data.n)

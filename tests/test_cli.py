@@ -211,6 +211,8 @@ def assert_one_error_line(code, out, err):
         ("spectrum", "qh"),
         ("no-such-command",),
         ("gamma", "--weights", "1/2", "--kmax", "2"),
+        ("spectrum", "qh", "--weights", "1/10000019"),
+        ("gamma", "--weights", "1e-9", "--mode", "S", "--kmax", "2"),
     ],
 )
 def test_input_errors_are_one_line(capsys, argv):

@@ -1,5 +1,7 @@
 """Series engine, Bernoulli numbers, and the theta series."""
 
+import importlib
+import pkgutil
 from fractions import Fraction as F
 from math import comb
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bermoments
 from bermoments import (
     TruncatedSeries,
     bernoulli_numbers,
@@ -202,3 +205,13 @@ class TestTheta:
         order = 14
         assert theta_series(order) == sinhc_half(order).log().scale(-1)
         assert sinhc_half(order).coeff(2) == F(1, 24)
+
+
+def test_every_cache_is_bounded():
+    cached = []
+    for info in pkgutil.iter_modules(bermoments.__path__):
+        module = importlib.import_module(f"bermoments.{info.name}")
+        cached += [fn for fn in vars(module).values() if hasattr(fn, "cache_parameters")]
+    assert cached
+    for fn in cached:
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
