@@ -26,6 +26,7 @@ from .bernpoly import (
 from .chern import (
     ChernData,
     bernoulli_moment_from_chern,
+    bernoulli_moments_from_chern,
     builtin_chern_data,
     builtin_chi_vector,
     chern_data_genus,

@@ -25,23 +25,32 @@ from functools import lru_cache
 from math import comb
 
 from .polynomials import MPoly
-from .series import theta_series
+from .series import _dot, _even_exp, _theta_values
 
 X = "x"
 NU = "nu"
 
 
 @lru_cache(maxsize=256)
-def _zero_values(order: int, nu) -> tuple:
-    """A_k(0, nu) for k = 0..order.
+def _zero_table(nu) -> list:
+    """The values A_2j(0, nu), j = 0, 1, ..., grown in place by _zero_values."""
+    return []
 
-    Expands exp(nu * theta); the factorial-normalized coefficients are
-    exactly the values at x = 0.  A rational nu gives exact values, and
-    nu = None a symbolic nu with values that are polynomials in it.
+
+def _zero_values(order: int, nu) -> tuple:
+    """A_2j(0, nu) for 2j <= order (the odd values vanish).
+
+    They are the factorial-normalized values of exp(nu * theta).  One growing
+    table per nu serves every order: a larger order extends it, a smaller
+    one reads a prefix.  A rational nu gives exact values, and nu = None a
+    symbolic nu with values that are polynomials in it.
     """
-    scale = MPoly.var(NU) if nu is None else nu
-    expanded = theta_series(order).scale(scale).exp()
-    return tuple(expanded.moment(k) for k in range(order + 1))
+    table = _zero_table(nu)
+    count = order // 2 + 1
+    if len(table) < count:
+        scale = MPoly.var(NU) if nu is None else nu
+        table[:] = _even_exp([scale * v for v in _theta_values(count)], table)
+    return tuple(table[:count])
 
 
 def _from_zero_values(k: int, x, nu):
@@ -52,15 +61,16 @@ def _from_zero_values(k: int, x, nu):
     if k < 0:
         raise ValueError("k must be >= 0")
     zeros = _zero_values(k, nu)
-    terms = (comb(k, 2 * j) * zeros[2 * j] * x ** (k - 2 * j) for j in range(k // 2 + 1))
-    return sum(terms, zeros[0] * 0)
+    powers = [x ** (k - 2 * j) for j in range(len(zeros))]
+    return _dot([comb(k, 2 * j) for j in range(len(zeros))], zeros, powers)
 
 
 def centered_bernoulli_at_zero(k: int) -> MPoly:
     """A_k(0, nu) as a polynomial in nu (zero for odd k)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _zero_values(k, None)[k]
+    zeros = _zero_values(k, None)
+    return zeros[-1] if k % 2 == 0 else zeros[0] * 0
 
 
 @lru_cache(maxsize=256)

@@ -34,6 +34,7 @@ __all__ = [
     "chern_moment_poly",
     "moment_from_chern",
     "bernoulli_moment_from_chern",
+    "bernoulli_moments_from_chern",
     "chern_data_pn",
     "chern_data_k3",
     "chern_data_genus",
@@ -226,20 +227,30 @@ def moment_from_chern(data: ChernData, k: int) -> Fraction:
 
 
 def bernoulli_moment_from_chern(data: ChernData, nu, k: int) -> Fraction:
-    """Gamma_2k(V(X), nu) from Chern numbers; the nu argument becomes n - nu.
-
-    Every q_kj of this k is the weight-j part of one expansion at the rational
-    value n - nu, with m = cap = n (stable in m, see the module docstring).
-    """
+    """Gamma_2k(V(X), nu) from Chern numbers; the nu argument becomes n - nu."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return data.number((data.n,))
-    series = _twisted_series(data.n, 2 * k, data.n, data.n - Fraction(nu))
-    total = Fraction(0)
-    for j in range(0, min(2 * k - 1, data.n) + 1):
-        total += (-1) ** j * _integrate(graded_part(series.coeff(2 * k - j), j), data, j)
-    return factorial(2 * k) * total
+    return bernoulli_moments_from_chern(data, nu, k)[k]
+
+
+def bernoulli_moments_from_chern(data: ChernData, nu, kmax: int) -> list:
+    """Gamma_2k(V(X), nu) for k = 0..kmax from Chern numbers.
+
+    Every q_kj of every k is the weight-j part of one expansion to t^(2 kmax)
+    at the rational value n - nu, with m = cap = n (stable in m, see the
+    module docstring); the coefficients of a lower order do not depend on
+    the order the expansion is carried to.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    series = _twisted_series(data.n, 2 * kmax, data.n, data.n - Fraction(nu))
+    values = [data.number((data.n,))]
+    for k in range(1, kmax + 1):
+        total = Fraction(0)
+        for j in range(0, min(2 * k - 1, data.n) + 1):
+            total += (-1) ** j * _integrate(graded_part(series.coeff(2 * k - j), j), data, j)
+        values.append(factorial(2 * k) * total)
+    return values
 
 
 def partitions_of(n: int) -> list:

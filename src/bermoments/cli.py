@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .bernpoly import centered_bernoulli_poly, centered_bernoulli_value
-from .chern import ChernData, bernoulli_moment_from_chern, builtin_chern_data
+from .chern import ChernData, _builtin, bernoulli_moments_from_chern, builtin_chern_data
 from .harness import check_conjecture, conjecture_nu, nu_threshold, trace_convergence
 from .moments import ChiVector, bernoulli_moments, moments_of_chi, moments_of_spectrum
 from .series import bernoulli_numbers, theta_series
@@ -26,6 +26,19 @@ from .spectra import (
     spectrum_from_weights,
     spectrum_tpqr,
 )
+
+
+# Upper bounds of the size options.  Each is checked as the arguments are
+# parsed, before any series is built, so that no input runs for minutes; the
+# README lists the slowest accepted input of each command.
+MAX_KMAX = 256  # --kmax of gamma, check, trace and manifold --chi
+MAX_ORDER = 512  # --order of theta and --count of bernoulli
+MAX_APOLY_K = 256  # --k of apoly
+MAX_THRESHOLD_K = 64  # --k and --k-cap of nu-threshold
+MAX_STEPS = 64  # --steps of nu-threshold; each step is one transform
+MAX_CHERN_KMAX = 24  # --kmax of manifold chern
+MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
+MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 
 
 def _fmt_float(x: float) -> str:
@@ -47,15 +60,35 @@ def _type_error(parse):
 _parse_fraction = _type_error(Fraction)
 
 
+def _at_most(limit: int):
+    """An integer option that is refused above `limit`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap of {limit}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 @_type_error
 def _parse_weights(text: str) -> WeightSystem:
     return WeightSystem(tuple(Fraction(part) for part in text.split(",")))
 
 
+def _tpqr_params(p: int, q: int, r: int) -> TpqrParams:
+    params = TpqrParams(p, q, r)
+    if params.mu > MAX_TPQR_MU:
+        raise ValueError(f"mu = p + q + r - 1 = {params.mu} is above the cap of {MAX_TPQR_MU}")
+    return params
+
+
 @_type_error
 def _parse_tpqr(text: str) -> TpqrParams:
     p, q, r = (int(part) for part in text.split(","))
-    return TpqrParams(p, q, r)
+    return _tpqr_params(p, q, r)
 
 
 @_type_error
@@ -103,13 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="print Bernoulli numbers B_0..B_{N-1}")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_at_most(MAX_ORDER), required=True)
 
     p = sub.add_parser("theta", help="Taylor coefficients of log((t/2)/sinh(t/2))")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_most(MAX_ORDER), required=True)
 
     p = sub.add_parser("apoly", help="centered generalized Bernoulli polynomial")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_most(MAX_APOLY_K), required=True)
     p.add_argument("--x", type=_parse_fraction)
     p.add_argument("--nu", type=_parse_fraction)
 
@@ -128,35 +161,35 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spectrum_source(p)
     p.add_argument("--nu", type=_parse_fraction, help="transform parameter")
     p.add_argument("--mode", choices=("W", "S"), help="use nu = n+1 (W) or the spread (S)")
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
 
     p = sub.add_parser("check", help="verify the sign conjecture on a spectrum")
     _add_spectrum_source(p)
     p.add_argument("--mode", choices=("W", "S"), required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
 
     p = sub.add_parser("trace", help="cosine-normalized moment sequence")
     _add_spectrum_source(p)
     p.add_argument("--nu", type=_parse_fraction, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
 
     p = sub.add_parser("nu-threshold", help="bisect the smallest admissible nu")
     _add_spectrum_source(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_most(MAX_THRESHOLD_K), required=True)
     p.add_argument("--nu-hi", type=_parse_fraction, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--k-cap", type=int)
+    p.add_argument("--steps", type=_at_most(MAX_STEPS), required=True)
+    p.add_argument("--k-cap", type=_at_most(MAX_THRESHOLD_K))
 
     p = sub.add_parser("manifold", help="moments of a compact complex manifold")
     p.add_argument("--chi", help="comma-separated chi_0..chi_n, e.g. 2,20,2")
     p.add_argument("--nu", type=_parse_fraction)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX))
     manifold_sub = p.add_subparsers(dest="mode")
     p_chern = manifold_sub.add_parser("chern", help="from Chern numbers")
     p_chern.add_argument("--builtin", help="pn:N, k3 or genus:G")
     p_chern.add_argument("--file", help="Chern number file")
     p_chern.add_argument("--nu", type=_parse_fraction, required=True)
-    p_chern.add_argument("--kmax", type=int, required=True)
+    p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
 
     return parser
 
@@ -201,7 +234,7 @@ def _cmd_spectrum(args) -> int:
     if args.kind == "qh":
         spectrum = spectrum_from_weights(args.weights)
     elif args.kind == "tpqr":
-        params = TpqrParams(args.p, args.q, args.r)
+        params = _tpqr_params(args.p, args.q, args.r)
         if not params.is_hyperbolic:
             print("# non-hyperbolic triple (1/p + 1/q + 1/r >= 1)")
         spectrum = spectrum_tpqr(params)
@@ -244,16 +277,24 @@ def _cmd_nu_threshold(args) -> int:
     return 0
 
 
+def _check_chern_dimension(n: int):
+    if n > MAX_CHERN_DIMENSION:
+        raise ValueError(f"dimension {n} is above the cap of {MAX_CHERN_DIMENSION}")
+
+
 def _cmd_manifold(args) -> int:
     if args.mode == "chern":
         if (args.builtin is None) == (args.file is None):
             raise ValueError("manifold chern needs exactly one of --builtin or --file")
         if args.builtin:
+            # read n off the spec first: pn:N lists the partitions of N
+            _check_chern_dimension(_builtin(args.builtin, lambda n: n, lambda: 2, lambda g: 1))
             data = builtin_chern_data(args.builtin)
         else:
             with open(args.file, encoding="utf-8") as handle:
                 data = ChernData.from_text(handle.read())
-        return _print_rows(bernoulli_moment_from_chern(data, args.nu, k) for k in range(args.kmax + 1))
+            _check_chern_dimension(data.n)
+        return _print_rows(bernoulli_moments_from_chern(data, args.nu, args.kmax))
     if args.chi is None or args.nu is None or args.kmax is None:
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
     chi = ChiVector(tuple(int(part) for part in args.chi.split(",")))

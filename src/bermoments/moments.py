@@ -20,11 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Optional
 
-from .bernpoly import centered_bernoulli_value, generalized_bernoulli_value
-from .series import DEFAULT_ORDER, TruncatedSeries, _even_series, bernoulli_numbers, theta_series
+from .bernpoly import _zero_values, centered_bernoulli_value, generalized_bernoulli_value
+from .series import (
+    DEFAULT_ORDER,
+    TruncatedSeries,
+    _coeff,
+    _even_exp,
+    _even_mul,
+    _even_series,
+    bernoulli_numbers,
+)
 from .spectra import Spectrum, TpqrParams, WeightSystem
 
 __all__ = [
@@ -46,26 +55,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MomentSeries:
-    """An even exact series of moments.
+    """An even exact series of moments, kept as its factorial-normalized values.
 
-    ``nu`` is None for a raw moment series V and records the transform
-    parameter for a Bernoulli-moment series Gamma(V, nu).
+    ``values[k]`` is the coefficient at t^2k times (2k)! (V_2k, or Gamma_2k)
+    for 2k <= ``order``.  ``nu`` is None for a raw moment series V and records
+    the transform parameter for a Bernoulli-moment series Gamma(V, nu).
     """
 
-    series: TruncatedSeries
-    nu: Optional[Fraction] = None
+    values: tuple
+    order: int
+    nu: Optional[Fraction]
 
-    def __post_init__(self):
-        if not self.series.is_even():
+    def __init__(self, series: TruncatedSeries, nu=None):
+        if not series.is_even():
             raise ValueError("moment series must be even in t")
-        if self.nu is not None:
-            object.__setattr__(self, "nu", Fraction(self.nu))
+        values = tuple(series.moment(two_k) for two_k in range(0, series.order + 1, 2))
+        self._fill(values, series.order, nu)
+
+    @classmethod
+    def from_values(cls, values, order: int, nu=None) -> "MomentSeries":
+        """The series sum_k values[k] t^2k/(2k)!, truncated at `order`."""
+        result = cls.__new__(cls)
+        result._fill(tuple(_coeff(v) for v in values), order, nu)
+        return result
+
+    def _fill(self, values: tuple, order: int, nu):
+        if order < 0:
+            raise ValueError("a series needs at least a constant coefficient")
+        if len(values) != order // 2 + 1:
+            raise ValueError(f"{len(values)} even values do not fit order {order}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nu", None if nu is None else Fraction(nu))
 
     @property
-    def order(self) -> int:
-        return self.series.order
+    def series(self) -> TruncatedSeries:
+        """The plain Taylor series, built on each call."""
+        return _even_series(self.order, lambda two_k: self.values[two_k // 2])
 
     @property
     def is_raw(self) -> bool:
@@ -73,16 +101,20 @@ class MomentSeries:
 
     def moment(self, k: int) -> Fraction:
         """The factorial-normalized coefficient (V_k, or Gamma_k)."""
-        return self.series.moment(k)
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient {k} is beyond the truncation order {self.order}")
+        return Fraction(0) if k % 2 else self.values[k // 2]
 
     def __mul__(self, other: "MomentSeries") -> "MomentSeries":
         if not isinstance(other, MomentSeries):
             return NotImplemented
+        if self.order != other.order:
+            raise ValueError(f"series order mismatch: {self.order} vs {other.order}")
         if self.nu is None and other.nu is None:
             nu = None
         else:
             nu = (self.nu or Fraction(0)) + (other.nu or Fraction(0))
-        return MomentSeries(self.series * other.series, nu)
+        return MomentSeries.from_values(_even_mul(self.values, other.values), self.order, nu)
 
 
 def _exp_sum(pairs, order: int) -> MomentSeries:
@@ -98,13 +130,11 @@ def _exp_sum(pairs, order: int) -> MomentSeries:
     unit = lcm(*(m.denominator for _, m in pairs))
     squares = [(a * scale).numerator ** 2 for a, _ in pairs]
     terms = [(m * unit).numerator for _, m in pairs]
-    sums = []
-    for _ in range(0, order + 1, 2):
-        sums.append(sum(terms))
+    values = []
+    for two_k in range(0, order + 1, 2):
+        values.append(Fraction(sum(terms), unit * scale**two_k))
         terms = [term * square for term, square in zip(terms, squares)]
-    return MomentSeries(
-        _even_series(order, lambda two_k: Fraction(sums[two_k // 2], unit * scale**two_k))
-    )
+    return MomentSeries.from_values(values, order)
 
 
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -113,12 +143,15 @@ def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries
 
 
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
-    """Gamma(V, nu) = V * exp(nu * theta); v must be a raw moment series."""
+    """Gamma(V, nu) = V * exp(nu * theta); v must be a raw moment series.
+
+    Runs on factorial-normalized values: Gamma_2k = sum_j C(2k, 2j)
+    V_(2k-2j) A_2j(0, nu), where A_2j(0, nu) are the values of exp(nu * theta).
+    """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
     nu = Fraction(nu)
-    transform = theta_series(v.order).scale(nu).exp()
-    return MomentSeries(v.series * transform, nu)
+    return MomentSeries.from_values(_even_mul(v.values, _zero_values(v.order, nu)), v.order, nu)
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
@@ -139,22 +172,19 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
 # -- closed forms for quasihomogeneous singularities ---------------------------
 
 
-def _weight_product(factor, ws: WeightSystem, order: int) -> TruncatedSeries:
-    """The product of factor(w, order) over the weights of `ws`."""
-    product = TruncatedSeries.one(order)
-    for w in ws.weights:
-        product = product * factor(w, order)
-    return product
+def _weight_product(factor_values, ws: WeightSystem, order: int) -> tuple:
+    """Factorial-normalized values of the product of factor_values(w, order) over `ws`."""
+    return reduce(_even_mul, (factor_values(w, order) for w in ws.weights))
 
 
-def _qh_moment_factor(w: Fraction, order: int) -> TruncatedSeries:
+def _qh_moment_values(w: Fraction, order: int) -> tuple:
     """Factor with Gamma-free coefficients w^2k * 2/(2k+1) * B_(2k+1)(1/(2w))."""
     x = Fraction(1, 2 * w)
 
     def value_at(two_k):
         return w**two_k * Fraction(2, two_k + 1) * generalized_bernoulli_value(two_k + 1, 1, x)
 
-    return _even_series(order, value_at)
+    return tuple(map(value_at, range(0, order + 1, 2)))
 
 
 def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -163,7 +193,13 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
     One factor per weight, built from odd Bernoulli polynomial values; equals
     moments_of_spectrum(spectrum_from_weights(ws)).
     """
-    return MomentSeries(_weight_product(_qh_moment_factor, ws, order))
+    return MomentSeries.from_values(_weight_product(_qh_moment_values, ws, order), order)
+
+
+def _gamma_weight_values(w, order: int) -> tuple:
+    """Factorial-normalized values of :func:`gamma_weight_factor`."""
+    bern = bernoulli_numbers(order + 1)
+    return tuple((-bern[two_k]) * (1 - w ** (two_k - 1)) for two_k in range(0, order + 1, 2))
 
 
 def gamma_weight_factor(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -173,9 +209,8 @@ def gamma_weight_factor(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     constant term mu.  The coefficient signs alternate as (-1)^k for any
     weight in (0, 1/2].
     """
-    w = Fraction(w)
-    bern = bernoulli_numbers(order + 1)
-    return _even_series(order, lambda two_k: (-bern[two_k]) * (1 - w ** (two_k - 1)))
+    values = _gamma_weight_values(Fraction(w), order)
+    return _even_series(order, lambda two_k: values[two_k // 2])
 
 
 def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -185,7 +220,8 @@ def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     coefficient has sign (-1)^k, which settles the strict sign prediction in
     the quasihomogeneous case.
     """
-    return MomentSeries(_weight_product(gamma_weight_factor, ws, order), Fraction(len(ws.weights)))
+    values = _weight_product(_gamma_weight_values, ws, order)
+    return MomentSeries.from_values(values, order, len(ws.weights))
 
 
 def q_exponent_poly(k: int):
@@ -203,6 +239,16 @@ def q_exponent_poly(k: int):
     return 1 - 2 * w + w ** (2 * k) - (1 - w) ** (2 * k)
 
 
+def _q_factor_values(w, order: int) -> tuple:
+    """Factorial-normalized values of :func:`q_factor_series`, by the even exp."""
+    bern = bernoulli_numbers(order + 1)
+    exponent = [w * 0]
+    for two_k in range(2, order + 1, 2):
+        p = 1 - 2 * w + w**two_k - (1 - w) ** two_k
+        exponent.append(Fraction(-1, two_k) * bern[two_k] * p)
+    return _even_exp(exponent)
+
+
 def q_factor_series(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The one-weight factor Q(t, w) of the spread-normalized moments.
 
@@ -212,15 +258,8 @@ def q_factor_series(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     if isinstance(w, (int, Fraction)):
         w = Fraction(w)
-    bern = bernoulli_numbers(order + 1)
-    zero = w * 0
-
-    def exponent(two_k):
-        if not two_k:
-            return zero
-        return Fraction(-1, two_k) * bern[two_k] * (1 - 2 * w + w**two_k - (1 - w) ** two_k)
-
-    return _even_series(order, exponent, zero).exp()
+    values = _q_factor_values(w, order)
+    return _even_series(order, lambda two_k: values[two_k // 2], w * 0)
 
 
 def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -229,7 +268,8 @@ def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     mu times the product of the Q factors of the weights; in particular the
     t^2 coefficient vanishes identically.
     """
-    return MomentSeries(_weight_product(q_factor_series, ws, order).scale(ws.mu), ws.spread)
+    values = _weight_product(_q_factor_values, ws, order)
+    return MomentSeries.from_values((ws.mu * v for v in values), order, ws.spread)
 
 
 def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -243,7 +283,7 @@ def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentS
     def value_at(two_k):
         return bern[two_k] * (sum(m ** (1 - two_k) for m in sides) - 1)
 
-    return MomentSeries(_even_series(order, value_at), Fraction(1))
+    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, 1)
 
 
 # -- compact complex manifolds ---------------------------------------------------
@@ -287,7 +327,7 @@ def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     def value_at(two_k):
         return Fraction(-2, two_k + 1) * generalized_bernoulli_value(two_k + 1, n + 1, 0)
 
-    return MomentSeries(_even_series(order, value_at), Fraction(n))
+    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, n)
 
 
 def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -302,7 +342,7 @@ def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
             two_k + 1, 3, 0
         ) + 18 * generalized_bernoulli_value(two_k, 2, 1)
 
-    return MomentSeries(_even_series(order, value_at), Fraction(2))
+    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, 2)
 
 
 def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -311,4 +351,5 @@ def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     Gamma_2k = (1 - g) * 2 * B_2k.
     """
     bern = bernoulli_numbers(order + 1)
-    return MomentSeries(_even_series(order, lambda two_k: (1 - g) * 2 * bern[two_k]), Fraction(1))
+    values = ((1 - g) * 2 * bern[two_k] for two_k in range(0, order + 1, 2))
+    return MomentSeries.from_values(values, order, 1)

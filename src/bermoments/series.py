@@ -10,6 +10,12 @@ are unknown, not zero, so binary operations insist on equal orders instead
 of truncating silently.  The factorial-normalized numbers V_2k = c_2k*(2k)!
 are recovered through :meth:`TruncatedSeries.moment`.
 
+Even series are also handled directly as their factorial-normalized values
+(V_0, V_2, V_4, ...): :func:`_even_mul` and :func:`_even_exp` multiply and
+exponentiate them without ever forming the (2k)! denominators, and sum each
+rational coefficient as integers over one common denominator.  The
+TruncatedSeries operations stay as the general engine and as their oracle.
+
 The coefficient arithmetic is duck typed: besides ``Fraction`` the entries
 may be sparse polynomials (see :mod:`bermoments.polynomials`), which is how
 the symbolic expansions elsewhere in the package are driven by this one
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial, lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -190,7 +196,7 @@ def exp_linear(a, order: int) -> TruncatedSeries:
 
 
 # B_0, B_1, B_2, ...: grown by _bernoulli to the largest count asked for so far
-_BERNOULLI = (Fraction(1), Fraction(-1, 2))
+_BERNOULLI = (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
 
 
 def _bernoulli(count: int) -> tuple:
@@ -208,8 +214,9 @@ def _bernoulli(count: int) -> tuple:
             if m % 2:
                 table.append(Fraction(0))
             else:
-                terms = (comb(m + 1, j) * table[j] for j in range(2, m - 1, 2))
-                table.append(-sum(terms, Fraction(1 - m, 2)) / (m + 1))
+                row = _binomial_row(m + 1)
+                terms = _dot(row[2 : m - 1 : 2], table[2 : m - 1 : 2], [1] * (m // 2 - 1))
+                table.append(-(terms + Fraction(1 - m, 2)) / (m + 1))
         _BERNOULLI = tuple(table)
     return _BERNOULLI[:count]
 
@@ -222,6 +229,58 @@ def bernoulli_numbers(count: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
     return list(_bernoulli(count))
+
+
+def _binomial_row(n: int) -> list:
+    """C(n, 0), C(n, 1), ..., C(n, n)."""
+    row = [1]
+    for i in range(n):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
+
+
+def _dot(weights, xs, ys):
+    """sum_i weights[i] * xs[i] * ys[i] for integer weights.
+
+    Rational terms are summed as integers over the lcm of their denominators,
+    so one Fraction is formed per sum rather than one per term.  Other
+    coefficient rings (polynomials) are summed term by term.
+    """
+    if not isinstance(xs[0], (int, Fraction)) or not isinstance(ys[0], (int, Fraction)):
+        return sum((w * x * y for w, x, y in zip(weights, xs, ys)), xs[0] * 0)
+    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+    common = lcm(*dens)
+    terms = zip(weights, xs, ys, dens)
+    total = sum(w * x.numerator * y.numerator * (common // d) for w, x, y, d in terms)
+    return Fraction(total, common)
+
+
+def _even_mul(a, b) -> tuple:
+    """Product of two even series given by factorial-normalized values.
+
+    a[k] and b[k] are the coefficients at t^2k times (2k)!, of equal length;
+    so is the result c_2k = sum_j C(2k, 2j) a_2j b_(2k-2j).
+    """
+    return tuple(_dot(_binomial_row(2 * k)[::2], a[: k + 1], b[k::-1]) for k in range(len(a)))
+
+
+def _even_exp(s, prefix=()) -> tuple:
+    """exp of an even series with zero constant term, on factorial-normalized values.
+
+    The moment-cumulant recurrence e_2k = sum_j C(2k-1, 2j-1) s_2j e_(2k-2j)
+    (E' = s'E) needs no division.  `prefix` holds values already computed for
+    the same s, which are extended to the length of s.
+    """
+    e = list(prefix) or [s[0] * 0 + 1]
+    for k in range(len(e), len(s)):
+        e.append(_dot(_binomial_row(2 * k - 1)[1::2], s[1 : k + 1], e[k - 1 :: -1]))
+    return tuple(e)
+
+
+def _theta_values(count: int) -> tuple:
+    """-B_2k/(2k) for k < count (0 at k = 0): the even values of theta_series."""
+    bern = _bernoulli(2 * count - 1)
+    return (Fraction(0),) + tuple(Fraction(-1, 2 * k) * bern[2 * k] for k in range(1, count))
 
 
 def _even_series(order: int, value_at, zero=Fraction(0)) -> TruncatedSeries:
@@ -245,10 +304,8 @@ def theta_series(order: int) -> TruncatedSeries:
     coefficient at t**2k is -B_2k/(2k).  Exponentiating nu times this series
     is what turns plain moments into Bernoulli moments.
     """
-    bern = _bernoulli(order + 1)
-    return _even_series(
-        order, lambda two_k: Fraction(-1, two_k) * bern[two_k] if two_k else Fraction(0)
-    )
+    values = _theta_values(order // 2 + 1)
+    return _even_series(order, lambda two_k: values[two_k // 2])
 
 
 @lru_cache(maxsize=64)

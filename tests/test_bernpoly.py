@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bermoments import (
     TruncatedSeries,
@@ -20,6 +22,7 @@ from bermoments import (
     theta_series,
     verify_multiplication_formula,
 )
+from bermoments.bernpoly import _zero_table, _zero_values
 from bermoments.polynomials import MPoly
 
 from helpers import random_fraction
@@ -242,3 +245,38 @@ class TestPeriodize:
 
     def test_float_path(self):
         assert abs(periodize(0.7) - (-0.3)) < 1e-12
+
+
+class TestZeroValues:
+    """A_2j(0, nu) from the even-value exp against TruncatedSeries.exp."""
+
+    @given(
+        nu_value=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        order=st.integers(0, 24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rational_nu_matches_series_exp(self, nu_value, order):
+        expanded = theta_series(order).scale(nu_value).exp()
+        expected = tuple(expanded.moment(two_k) for two_k in range(0, order + 1, 2))
+        assert _zero_values(order, nu_value) == expected
+
+    def test_symbolic_nu_matches_series_exp(self):
+        expanded = theta_series(16).scale(nu).exp()
+        zeros = _zero_values(16, None)
+        assert zeros == tuple(expanded.moment(two_k) for two_k in range(0, 17, 2))
+        assert all(isinstance(z, MPoly) for z in zeros)
+        odd = centered_bernoulli_at_zero(5)
+        assert odd == 0 and isinstance(odd, MPoly)
+
+    def test_one_table_serves_every_order(self):
+        value = F(7, 3)
+        _zero_table.cache_clear()
+        low = _zero_values(6, value)
+        high = _zero_values(31, value)
+        assert high[: len(low)] == low and len(high) == 16
+        assert _zero_values(11, value) == high[:6]
+        info = _zero_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        # extending a table gives what one expansion at the top order gives
+        _zero_table.cache_clear()
+        assert _zero_values(31, value) == high

@@ -11,6 +11,7 @@ from bermoments import (
     ChernData,
     bernoulli_moment_from_chern,
     bernoulli_moments,
+    bernoulli_moments_from_chern,
     builtin_chern_data,
     builtin_chi_vector,
     chern_data_genus,
@@ -204,6 +205,42 @@ def test_bernoulli_moment_matches_symbolic_polynomials(data, nu_value, k):
         q = chern_moment_poly(k, j).subs({"nu": data.n - nu_value})
         expected += integrate_by_definition(q, data, j)
     assert bernoulli_moment_from_chern(data, nu_value, k) == expected
+
+
+def moment_from_own_expansion(data, nu_value, k):
+    """Gamma_2k read from an expansion carried to t^2k for this k alone."""
+    if k == 0:
+        return data.number((data.n,))
+    series = _twisted_series(data.n, 2 * k, data.n, data.n - nu_value)
+    total = F(0)
+    for j in range(min(2 * k - 1, data.n) + 1):
+        part = graded_part(series.coeff(2 * k - j), j)
+        total += (-1) ** j * integrate_by_definition(part, data, j)
+    return factorial(2 * k) * total
+
+
+class TestAllKReader:
+    @given(
+        data=chern_data_st(),
+        nu_value=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        kmax=st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_expansion_serves_every_k(self, data, nu_value, kmax):
+        expected = [moment_from_own_expansion(data, nu_value, k) for k in range(kmax + 1)]
+        assert bernoulli_moments_from_chern(data, nu_value, kmax) == expected
+        assert bernoulli_moment_from_chern(data, nu_value, kmax) == expected[-1]
+
+    def test_builtins_match_chi_route(self):
+        for spec in BUILTINS + ["pn:4"]:
+            data = builtin_chern_data(spec)
+            gamma = bernoulli_moments(moments_of_chi(builtin_chi_vector(spec), 12), F(1, 2))
+            expected = [gamma.moment(2 * k) for k in range(7)]
+            assert bernoulli_moments_from_chern(data, F(1, 2), 6) == expected
+
+    def test_negative_kmax_is_refused(self):
+        with pytest.raises(ValueError, match="kmax"):
+            bernoulli_moments_from_chern(chern_data_k3(), 1, -1)
 
 
 class TestBookkeepingProduct:

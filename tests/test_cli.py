@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bermoments.cli import main
+from bermoments.cli import (
+    MAX_APOLY_K,
+    MAX_CHERN_DIMENSION,
+    MAX_CHERN_KMAX,
+    MAX_KMAX,
+    MAX_ORDER,
+    MAX_STEPS,
+    MAX_THRESHOLD_K,
+    MAX_TPQR_MU,
+    _build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -213,10 +224,76 @@ def assert_one_error_line(code, out, err):
         ("gamma", "--weights", "1/2", "--kmax", "2"),
         ("spectrum", "qh", "--weights", "1/10000019"),
         ("gamma", "--weights", "1e-9", "--mode", "S", "--kmax", "2"),
+        # size options above their caps
+        ("gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", str(MAX_KMAX + 1)),
+        ("check", "--tpqr", "2,3,7", "--mode", "S", "--kmax", "100000000"),
+        ("trace", "--tpqr", "2,3,7", "--nu", "1", "--kmax", str(MAX_KMAX + 1)),
+        ("manifold", "--chi=1,1", "--nu", "1", "--kmax", str(MAX_KMAX + 1)),
+        ("apoly", "--k", str(MAX_APOLY_K + 1)),
+        ("apoly", "--k", str(MAX_APOLY_K + 1), "--x", "0", "--nu", "1"),
+        ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", "4",
+         "--k", str(MAX_THRESHOLD_K + 1)),
+        ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", "4", "--k", "1",
+         "--k-cap", str(MAX_THRESHOLD_K + 1)),
+        ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--k", "1",
+         "--steps", str(MAX_STEPS + 1)),
+        ("theta", "--order", str(MAX_ORDER + 1)),
+        ("bernoulli", "--count", str(MAX_ORDER + 1)),
+        ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX + 1)),
+        ("manifold", "chern", "--builtin", f"pn:{MAX_CHERN_DIMENSION + 1}", "--nu", "1", "--kmax", "1"),
+        ("manifold", "chern", "--builtin", "pn:100000", "--nu", "1", "--kmax", "1"),
+        ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "-1"),
+        # T_{p,q,r} spectra with more than MAX_TPQR_MU entries
+        ("gamma", "--tpqr", "2,3,200000", "--nu", "1", "--kmax", "2"),
+        ("spectrum", "tpqr", "--p", "2", "--q", "2", "--r", "200000"),
+        ("spectrum", "tpqr", "--p", "2", "--q", "2", "--r", str(MAX_TPQR_MU - 2)),
     ],
 )
 def test_input_errors_are_one_line(capsys, argv):
     assert_one_error_line(*run(capsys, *argv))
+
+
+def test_caps_admit_their_bounds():
+    parser = _build_parser()
+    accepted = [
+        ["gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", str(MAX_KMAX)],
+        ["apoly", "--k", str(MAX_APOLY_K)],
+        ["nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", str(MAX_STEPS),
+         "--k", str(MAX_THRESHOLD_K), "--k-cap", str(MAX_THRESHOLD_K)],
+        ["theta", "--order", str(MAX_ORDER)],
+        ["bernoulli", "--count", str(MAX_ORDER)],
+        ["manifold", "chern", "--builtin", "pn:8", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX)],
+    ]
+    for argv in accepted:
+        parser.parse_args(argv)
+    # mu = p + q + r - 1 = MAX_TPQR_MU
+    third = MAX_TPQR_MU // 3
+    triple = f"{third},{third},{MAX_TPQR_MU + 1 - 2 * third}"
+    parser.parse_args(["gamma", "--tpqr", triple, "--nu", "1", "--kmax", "1"])
+    # the largest benchmark sizes sit inside the caps
+    assert MAX_KMAX >= 200 and MAX_APOLY_K >= 250 and MAX_THRESHOLD_K >= 26 and MAX_CHERN_KMAX >= 22
+
+
+def test_coprime_tpqr_is_accepted(capsys):
+    # lcm(50, 51, 53) = 135150 is far above the dense cap, but mu is 153
+    code, out, _ = run(capsys, "gamma", "--tpqr", "50,51,53", "--nu", "1", "--kmax", "4")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+def test_chern_file_dimension_cap(tmp_path, capsys):
+    n = MAX_CHERN_DIMENSION + 1
+    path = tmp_path / "big.chern"
+    path.write_text(f"n {n}\npartition {n} value 1\n")
+    argv = ("manifold", "chern", "--file", str(path), "--nu", "0", "--kmax", "1")
+    assert_one_error_line(*run(capsys, *argv))
+
+
+def test_manifold_chern_reads_every_k_from_one_expansion(capsys):
+    argv = ("--nu", "1/2", "--kmax", "6")
+    code, out, _ = run(capsys, "manifold", "chern", "--builtin", "pn:3", *argv)
+    assert code == 0
+    chi_code, chi_out, _ = run(capsys, "manifold", "--chi=1,1,1,1", *argv)
+    assert chi_code == 0 and out == chi_out and len(out.splitlines()) == 7
 
 
 @given(text=st.text(alphabet="0123456789/,-+ ", max_size=6))

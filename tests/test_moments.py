@@ -33,6 +33,7 @@ from bermoments import (
     sinhc_half,
     spectrum_from_weights,
     spectrum_tpqr,
+    theta_series,
     thom_sebastiani,
     TpqrParams,
 )
@@ -278,6 +279,17 @@ class TestQFactor:
         assert q.moment(4) == q_exponent_poly(2) / 120
         assert q.moment(6) == -q_exponent_poly(3) / 252
 
+    def test_matches_t_series_exp(self):
+        # the exponent in plain Taylor coefficients, exponentiated by TruncatedSeries.exp
+        order = 12
+        bern = bernoulli_numbers(order + 1)
+        for w in (F(1, 3), F(5, 2), MPoly.var("w")):
+            coeffs = [w * 0] * (order + 1)
+            for k in range(1, order // 2 + 1):
+                p = 1 - 2 * w + w ** (2 * k) - (1 - w) ** (2 * k)
+                coeffs[2 * k] = F(-1, 2 * k) * bern[2 * k] * p / factorial(2 * k)
+            assert q_factor_series(w, order) == TruncatedSeries(tuple(coeffs)).exp()
+
     def test_half_weight_is_flat(self):
         q = q_factor_series(F(1, 2), 8)
         for k in range(1, 4):
@@ -440,3 +452,71 @@ class TestManifoldMoments:
                 + (k - 1) * k * b(k - 2)
             )
             assert generalized_bernoulli_value(k, 2, 1) == (1 - k) * b(k)
+
+
+# -- the even-value transform against the t-series route --------------------------
+
+NUS = st.one_of(
+    st.sampled_from((F(0), F(-3), F(-7, 4), F(5, 2))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def small_spectra(draw):
+    """Symmetric spectra about (n-1)/2: pairs of offsets +-d with multiplicities."""
+    n = draw(st.integers(1, 3))
+    center = F(n - 1, 2)
+    offsets = st.fractions(min_value=0, max_value=F(n + 1, 2), max_denominator=12)
+    offset = offsets.filter(lambda d: d < F(n + 1, 2))
+    mult = st.fractions(min_value=F(1, 3), max_value=5, max_denominator=3)
+    pairs = draw(st.lists(st.tuples(offset, mult), min_size=1, max_size=5))
+    entries = [(center + sign * d, m) for d, m in pairs for sign in (1, -1)]
+    return abstract_spectrum(n, entries)
+
+
+@st.composite
+def chi_vectors(draw):
+    half = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=3))
+    middle = draw(st.lists(st.integers(-20, 20), max_size=1))
+    return ChiVector(tuple(half + middle + half[::-1]))
+
+
+def t_series_transform(v: MomentSeries, nu) -> TruncatedSeries:
+    """The t-series route: V(t) * exp(nu * theta(t)) in plain Taylor coefficients."""
+    return v.series * theta_series(v.order).scale(nu).exp()
+
+
+class TestEvenValueTransform:
+    @given(spectrum=small_spectra(), nu=NUS, order=st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_spectra_match_t_series_route(self, spectrum, nu, order):
+        v = moments_of_spectrum(spectrum, order)
+        gamma = bernoulli_moments(v, nu)
+        assert gamma.series == t_series_transform(v, nu)
+        assert gamma.nu == nu and gamma.order == order
+
+    @given(chi=chi_vectors(), nu=NUS, order=st.integers(0, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_chi_vectors_match_t_series_route(self, chi, nu, order):
+        v = moments_of_chi(chi, order)
+        assert bernoulli_moments(v, nu).series == t_series_transform(v, nu)
+
+    @given(data=st.data(), order=st.integers(0, 14))
+    @settings(max_examples=30, deadline=None)
+    def test_product_matches_t_series_product(self, data, order):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        a, b = (even_moment_series(rng, order) for _ in range(2))
+        assert (a * b).series == a.series * b.series
+
+    def test_values_are_the_factorial_normalized_coefficients(self):
+        v = moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), 9)
+        assert v.values == tuple(v.series.moment(two_k) for two_k in range(0, 10, 2))
+        assert MomentSeries.from_values(v.values, 9) == v
+        assert v.moment(3) == 0
+        with pytest.raises(IndexError):
+            v.moment(10)
+        with pytest.raises(ValueError):
+            MomentSeries.from_values(v.values, 12)
+        with pytest.raises(ValueError):
+            moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), -2)

@@ -17,6 +17,8 @@ from bermoments import (
     sinhc_half,
     theta_series,
 )
+from bermoments.polynomials import MPoly
+from bermoments.series import _dot, _even_exp, _even_mul, _even_series
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -205,6 +207,52 @@ class TestTheta:
         order = 14
         assert theta_series(order) == sinhc_half(order).log().scale(-1)
         assert sinhc_half(order).coeff(2) == F(1, 24)
+
+
+def even_values_st(count: int, constant=None):
+    """Factorial-normalized even values with small numerators and denominators."""
+    value = st.fractions(min_value=-50, max_value=50, max_denominator=720)
+    values = st.lists(value, min_size=count, max_size=count)
+    if constant is None:
+        return values
+    return values.map(lambda vs: [F(constant)] + vs[1:])
+
+
+def as_series(values, order: int) -> TruncatedSeries:
+    return _even_series(order, lambda two_k: values[two_k // 2])
+
+
+def as_values(series: TruncatedSeries) -> tuple:
+    return tuple(series.moment(two_k) for two_k in range(0, series.order + 1, 2))
+
+
+class TestEvenKernel:
+    """The even-value kernel against TruncatedSeries arithmetic, its oracle."""
+
+    @given(a=even_values_st(9), b=even_values_st(9))
+    @settings(max_examples=40, deadline=None)
+    def test_mul_matches_series_mul(self, a, b):
+        assert _even_mul(a, b) == as_values(as_series(a, 16) * as_series(b, 16))
+
+    @given(s=even_values_st(9, constant=0))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_matches_series_exp(self, s):
+        assert _even_exp(s) == as_values(as_series(s, 17).exp())
+
+    @given(s=even_values_st(9, constant=0), cut=st.integers(1, 9))
+    @settings(max_examples=20, deadline=None)
+    def test_exp_extends_a_prefix(self, s, cut):
+        assert _even_exp(s, _even_exp(s[:cut])) == _even_exp(s)
+
+    def test_symbolic_values_are_summed_term_by_term(self):
+        y = MPoly.var("y")
+        s = [0 * y, y, F(1, 3) * y]
+        assert _even_exp(s) == as_values(as_series(s, 4).exp())
+        assert _dot([2, 3], [y, F(1, 2)], [F(1, 4), y]) == 2 * y
+
+    def test_rational_sum_is_reduced(self):
+        total = _dot([1, 1, 6], [F(1, 6), F(1, 3), F(1, 4)], [1, F(1, 2), F(1, 3)])
+        assert total == F(1, 6) + F(1, 6) + F(1, 2) and total.denominator == 6
 
 
 def test_every_cache_is_bounded():
