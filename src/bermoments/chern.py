@@ -22,7 +22,6 @@ from math import comb, factorial
 
 from .polynomials import MPoly
 from .series import TruncatedSeries, theta_series
-from .spectra import _read_records
 
 __all__ = [
     "ChernData",
@@ -202,6 +201,8 @@ class ChernData:
     @classmethod
     def from_text(cls, text: str) -> "ChernData":
         """Read 'n <int>' and 'partition <p1,p2,...> value <number>' lines."""
+        from .spectra import _read_records
+
         n, records = _read_records(text, "partition", "value", "Chern")
         return cls(n, {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records})
 

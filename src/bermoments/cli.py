@@ -12,21 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .bernpoly import centered_bernoulli_poly, centered_bernoulli_value
-from .chern import ChernData, _builtin, bernoulli_moments_from_chern, builtin_chern_data
-from .harness import check_conjecture, conjecture_nu, nu_threshold, trace_convergence
-from .moments import ChiVector, bernoulli_moments, moments_of_chi, moments_of_spectrum
-from .series import bernoulli_numbers, theta_series
-from .spectra import (
-    PuiseuxData,
-    Spectrum,
-    TpqrParams,
-    WeightSystem,
-    spectrum_curve,
-    spectrum_from_weights,
-    spectrum_tpqr,
-)
-
+# The computation modules are imported by the handlers and argument types
+# that use them, so each command loads only what its answer needs.
 
 # Upper bounds of the size options.  Each is checked as the arguments are
 # parsed, before any series is built, so that no input runs for minutes; the
@@ -39,6 +26,10 @@ MAX_STEPS = 64  # --steps of nu-threshold; each step is one transform
 MAX_CHERN_KMAX = 24  # --kmax of manifold chern
 MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
+# |e| of the decimal exponent of a rational argument (--nu, --x, --nu-hi, each
+# --weights part), checked before Fraction('1e<e>') computes 10**|e|; equal to
+# the default digit limit of int(), which bounds a plain 'p/q' the same way
+MAX_EXPONENT = 4300
 
 
 def _fmt_float(x: float) -> str:
@@ -57,7 +48,15 @@ def _type_error(parse):
     return parse_or_fail
 
 
-_parse_fraction = _type_error(Fraction)
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with the exponent of '1e400' read off the text first."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent.strip()} is beyond the cap of +-{MAX_EXPONENT}")
+    return Fraction(text)
+
+
+_parse_fraction = _type_error(_fraction)
 
 
 def _at_most(limit: int):
@@ -75,10 +74,14 @@ def _at_most(limit: int):
 
 @_type_error
 def _parse_weights(text: str) -> WeightSystem:
-    return WeightSystem(tuple(Fraction(part) for part in text.split(",")))
+    from .spectra import WeightSystem
+
+    return WeightSystem(tuple(_fraction(part) for part in text.split(",")))
 
 
 def _tpqr_params(p: int, q: int, r: int) -> TpqrParams:
+    from .spectra import TpqrParams
+
     params = TpqrParams(p, q, r)
     if params.mu > MAX_TPQR_MU:
         raise ValueError(f"mu = p + q + r - 1 = {params.mu} is above the cap of {MAX_TPQR_MU}")
@@ -111,6 +114,8 @@ def _add_spectrum_source(parser: argparse.ArgumentParser):
 
 
 def _spectrum_from_args(args) -> Spectrum:
+    from .spectra import PuiseuxData, Spectrum, spectrum_curve, spectrum_from_weights, spectrum_tpqr
+
     if args.weights is not None:
         return spectrum_from_weights(args.weights)
     if args.tpqr is not None:
@@ -202,12 +207,16 @@ def _print_rows(values) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
+    from .series import bernoulli_numbers
+
     for value in bernoulli_numbers(args.count):
         print(value)
     return 0
 
 
 def _cmd_theta(args) -> int:
+    from .series import theta_series
+
     series = theta_series(args.order)
     for k in range(args.order + 1):
         print(f"{k}\t{series.coeff(k)}")
@@ -215,6 +224,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_apoly(args) -> int:
+    from .bernpoly import centered_bernoulli_poly, centered_bernoulli_value
+
     if (args.x is None) != (args.nu is None):
         raise ValueError("apoly needs both --x and --nu, or neither")
     if args.x is not None:
@@ -231,6 +242,8 @@ def _cmd_apoly(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectra import PuiseuxData, spectrum_curve, spectrum_from_weights, spectrum_tpqr
+
     if args.kind == "qh":
         spectrum = spectrum_from_weights(args.weights)
     elif args.kind == "tpqr":
@@ -245,6 +258,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .harness import conjecture_nu
+    from .moments import bernoulli_moments, moments_of_spectrum
+
     if (args.nu is None) == (args.mode is None):
         raise ValueError("gamma needs exactly one of --nu or --mode")
     spectrum = _spectrum_from_args(args)
@@ -254,6 +270,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .harness import check_conjecture
+
     spectrum = _spectrum_from_args(args)
     report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
@@ -263,6 +281,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .harness import trace_convergence
+
     spectrum = _spectrum_from_args(args)
     values = trace_convergence(spectrum, args.nu, args.kmax)
     for k, value in enumerate(values, start=1):
@@ -271,6 +291,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_nu_threshold(args) -> int:
+    from .harness import nu_threshold
+
     spectrum = _spectrum_from_args(args)
     estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
     print(estimate)
@@ -284,6 +306,8 @@ def _check_chern_dimension(n: int):
 
 def _cmd_manifold(args) -> int:
     if args.mode == "chern":
+        from .chern import ChernData, _builtin, bernoulli_moments_from_chern, builtin_chern_data
+
         if (args.builtin is None) == (args.file is None):
             raise ValueError("manifold chern needs exactly one of --builtin or --file")
         if args.builtin:
@@ -297,6 +321,8 @@ def _cmd_manifold(args) -> int:
         return _print_rows(bernoulli_moments_from_chern(data, args.nu, args.kmax))
     if args.chi is None or args.nu is None or args.kmax is None:
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
+    from .moments import ChiVector, bernoulli_moments, moments_of_chi
+
     chi = ChiVector(tuple(int(part) for part in args.chi.split(",")))
     gamma = bernoulli_moments(moments_of_chi(chi, 2 * args.kmax), args.nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
@@ -322,11 +348,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # argv was parsed under the interpreter's limit on the digits of an int
+    # <-> str conversion (3.10.7+); the exact answer is printed in full
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

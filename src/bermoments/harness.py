@@ -21,11 +21,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .bernpoly import scaled_to_cosine
 from .moments import bernoulli_moments, moments_of_spectrum
 from .series import bernoulli_numbers
-from .spectra import Spectrum
+
+if TYPE_CHECKING:  # annotations only
+    from .spectra import Spectrum
 
 __all__ = [
     "ConjectureReport",

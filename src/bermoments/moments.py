@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .bernpoly import _zero_values, centered_bernoulli_value, generalized_bernoulli_value
 from .series import (
@@ -34,7 +34,9 @@ from .series import (
     _even_series,
     bernoulli_numbers,
 )
-from .spectra import Spectrum, TpqrParams, WeightSystem
+
+if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra
+    from .spectra import Spectrum, TpqrParams, WeightSystem
 
 __all__ = [
     "MomentSeries",

@@ -1,6 +1,7 @@
 """Command-line surface: formats and exit codes."""
 
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from bermoments.cli import (
     MAX_APOLY_K,
     MAX_CHERN_DIMENSION,
     MAX_CHERN_KMAX,
+    MAX_EXPONENT,
     MAX_KMAX,
     MAX_ORDER,
     MAX_STEPS,
@@ -247,6 +249,14 @@ def assert_one_error_line(code, out, err):
         ("gamma", "--tpqr", "2,3,200000", "--nu", "1", "--kmax", "2"),
         ("spectrum", "tpqr", "--p", "2", "--q", "2", "--r", "200000"),
         ("spectrum", "tpqr", "--p", "2", "--q", "2", "--r", str(MAX_TPQR_MU - 2)),
+        # decimal exponents above the cap are refused before 10**e is formed
+        ("gamma", "--tpqr", "2,3,7", "--nu", "1e10000000", "--kmax", "2"),
+        ("gamma", "--tpqr", "2,3,7", "--nu", f"1e{MAX_EXPONENT + 1}", "--kmax", "2"),
+        ("gamma", "--tpqr", "2,3,7", f"--nu=-2.5E-{MAX_EXPONENT + 1}", "--kmax", "2"),
+        ("spectrum", "qh", "--weights", "1e-100000000"),
+        ("gamma", "--weights", "1/3,1e-100000000", "--nu", "1", "--kmax", "2"),
+        ("apoly", "--k", "2", "--x", "1e9999999", "--nu", "1"),
+        ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "1e1_0000000", "--steps", "4", "--k", "1"),
     ],
 )
 def test_input_errors_are_one_line(capsys, argv):
@@ -263,9 +273,12 @@ def test_caps_admit_their_bounds():
         ["theta", "--order", str(MAX_ORDER)],
         ["bernoulli", "--count", str(MAX_ORDER)],
         ["manifold", "chern", "--builtin", "pn:8", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX)],
+        ["gamma", "--tpqr", "2,3,7", "--nu", f"1e{MAX_EXPONENT}", "--kmax", "1"],
+        ["apoly", "--k", "2", f"--x=-1.5e-{MAX_EXPONENT}", "--nu", "1"],
     ]
     for argv in accepted:
         parser.parse_args(argv)
+    assert parser.parse_args(["gamma", "--tpqr", "2,3,7", "--nu", "1e400", "--kmax", "1"]).nu == 10**400
     # mu = p + q + r - 1 = MAX_TPQR_MU
     third = MAX_TPQR_MU // 3
     triple = f"{third},{third},{MAX_TPQR_MU + 1 - 2 * third}"
@@ -296,10 +309,24 @@ def test_manifold_chern_reads_every_k_from_one_expansion(capsys):
     assert chi_code == 0 and out == chi_out and len(out.splitlines()) == 7
 
 
-@given(text=st.text(alphabet="0123456789/,-+ ", max_size=6))
+def test_answer_beyond_int_digit_limit_is_printed_in_full(capsys):
+    # from row 180 on, Gamma_2k has more digits than int <-> str converts by
+    # default; every row is printed and the caller's limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    argv = ("gamma", "--tpqr", "5,7,11", "--nu", "9999999999999989/10000000000000061", "--kmax", "256")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == [str(k) for k in range(257)]
+    assert max(len(row) for row in rows) > limit
+    assert sys.get_int_max_str_digits() == limit  # restored for the caller
+
+
+@given(text=st.text(alphabet="0123456789/,-+ .e", max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_weights_fuzz(text):
-    # short strings keep the common denominator, and so the work, small
+    # the dense cap bounds the work of any accepted string; the largest
+    # common denominator six characters reach is D = 10^5 ('1e-5', seconds)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["spectrum", "qh", "--weights", text])
