@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .polynomials import MPoly
-from .series import TruncatedSeries, theta_series
+from .series import theta_series
 
 __all__ = [
     "ChernData",
@@ -42,59 +41,57 @@ __all__ = [
     "partitions_of",
 ]
 
-NU = "nu"
+# A symmetric polynomial in y_1, y_2, ... is kept as a dict from partitions
+# (descending tuples) to coefficients: the key (2, 1, 1) stands for
+# y_2 y_1^2, and its weighted degree is sum(key).
 
 
-def _y(i: int) -> MPoly:
-    return MPoly.var(f"y{i}")
+@lru_cache(maxsize=1024)
+def _merge(lam: tuple, mu: tuple) -> tuple:
+    """The partition of the product of the monomials lam and mu."""
+    return tuple(sorted(lam + mu, reverse=True))
 
 
-def _mono_weight(mono) -> int:
-    total = 0
-    for name, e in mono:
-        if name.startswith("y"):
-            total += int(name[1:]) * e
+def _mul_into(out: dict, a: dict, b: dict, cap: int):
+    """out += a * b, forming only the products of weighted degree <= cap."""
+    b_items = [(mu, sum(mu), y) for mu, y in b.items()]
+    for lam, x in a.items():
+        room = cap - sum(lam)
+        for mu, weight, y in b_items:
+            if weight <= room:
+                key = _merge(lam, mu)
+                out[key] = out[key] + x * y if key in out else x * y
+
+
+def _as_mpoly(graded: dict, weight: int) -> MPoly:
+    """The weight-`weight` part of a partition-keyed polynomial as an MPoly in the y_i."""
+    from .polynomials import MPoly
+
+    total = MPoly()
+    for lam, value in graded.items():
+        if sum(lam) == weight:
+            total = total + value * prod(MPoly.var(f"y{p}") for p in lam)
     return total
 
 
-def graded_part(poly: MPoly, weight: int) -> MPoly:
-    """The part of `poly` whose y-monomials have weighted degree `weight`."""
-    return MPoly.from_terms(
-        (mono, c) for mono, c in poly.terms() if _mono_weight(mono) == weight
-    )
-
-
-def weight_truncate(poly: MPoly, cap: int) -> MPoly:
-    """Drop y-monomials of weighted degree above `cap`."""
-    return MPoly.from_terms(
-        (mono, c) for mono, c in poly.terms() if _mono_weight(mono) <= cap
-    )
-
-
-def y_weight_degree(poly: MPoly) -> int:
-    """The largest weighted y-degree among the monomials (0 for zero)."""
-    return max((_mono_weight(mono) for mono, _ in poly.terms()), default=0)
-
-
 @lru_cache(maxsize=256)
-def power_sum_in_elementary(r: int, m: int) -> MPoly:
-    """The power sum p_r(x_1..x_m) written in the elementary symmetric y_i.
+def _power_sum(r: int, m: int) -> dict:
+    """p_r(x_1..x_m) in the elementary symmetric y_i, keyed by partitions of r.
 
     Newton's identity p_r = sum_{i<r} (-1)^(i-1) y_i p_(r-i) + (-1)^(r-1) r y_r,
     with y_i = 0 for i > m.
     """
+    out = {(r,): (-1) ** (r - 1) * r} if r <= m else {}
+    for i in range(1, min(r - 1, m) + 1):
+        _mul_into(out, {(i,): (-1) ** (i - 1)}, _power_sum(r - i, m), r)
+    return {key: c for key, c in out.items() if c}
+
+
+def power_sum_in_elementary(r: int, m: int) -> MPoly:
+    """The power sum p_r(x_1..x_m) written in the elementary symmetric y_i."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    sums = [MPoly.const(m)]  # p_0 = m
-    for s in range(1, r + 1):
-        acc = MPoly()
-        for i in range(1, s):
-            if i <= m:
-                acc = acc + (-1) ** (i - 1) * _y(i) * sums[s - i]
-        if s <= m:
-            acc = acc + (-1) ** (s - 1) * s * _y(s)
-        sums.append(acc)
-    return sums[r]
+    return _as_mpoly(_power_sum(r, m), r)
 
 
 def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
@@ -111,37 +108,46 @@ def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
 
 
 @lru_cache(maxsize=64)
-def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> TruncatedSeries:
+def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
     """exp(sum_i [theta(x_i) - theta(x_i - t) + theta(t)] - nu * theta(t)) in t.
 
-    Coefficients are symmetric polynomials truncated at weighted degree
-    `cap`.  The (k', j) term of the exponent has weight exactly 2k' - j, so
-    each t^j coefficient receives finitely many contributions; nu * theta has
-    weight 0.  Weights add under multiplication and are never negative, so
-    truncating each coefficient of the exponential as it is formed keeps
-    exactly what truncating the full expansion would.  `nu` is rational, or
-    None for a symbolic nu, as in ``bernpoly._zero_values``.
+    The coefficients of t^0..t^t_order, each a partition-keyed symmetric
+    polynomial of weighted degree <= `cap`.  The (k', j) term of the exponent
+    has weight exactly 2k' - j, so each t^j coefficient receives finitely
+    many contributions; nu * theta has weight 0.  Weights add under
+    multiplication and are never negative, so a product above the cap never
+    contributes and is never formed.  `nu` is rational, which gives Fraction
+    values, or None for a symbolic nu, which gives MPoly values in nu, as in
+    ``bernpoly._zero_values``.  The cache shares the dicts: callers only read.
     """
     theta = theta_series(t_order + cap)
-    twist = MPoly.var(NU) if nu is None else MPoly.const(nu)
-    exponent = [twist * -theta.coeff(j) for j in range(t_order + 1)]
-    if m > 0:
-        for kp in range(1, (t_order + cap) // 2 + 1):
-            for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
-                exponent[j] = exponent[j] + theta.coeff(2 * kp) * shift_difference_poly(kp, j, m)
+    if nu is None:
+        from .polynomials import MPoly
+
+        nu = MPoly.var("nu")
+    # t s'(t) for the exponent s: coefficient j is j * s_j
+    twist = [-j * nu * theta.coeff(j) for j in range(t_order + 1)]
+    slope = [{(): c} if c else {} for c in twist]
+    for kp in range(1, (t_order + cap) // 2 + 1):
+        for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
+            scale = j * (-1) ** (j + 1) * comb(2 * kp, j) * theta.coeff(2 * kp)
+            for lam, c in _power_sum(2 * kp - j, m).items():
+                slope[j][lam] = scale * c
     # E' = s'E, one coefficient at a time
-    coeffs = [MPoly.const(1)]
+    coeffs = [{(): Fraction(1)}]
     for k in range(1, t_order + 1):
-        acc = sum((j * exponent[j] * coeffs[k - j] for j in range(1, k + 1)), MPoly())
-        coeffs.append(weight_truncate(acc / k, cap))
-    return TruncatedSeries(tuple(coeffs))
+        acc = {}
+        for j in range(1, k + 1):
+            _mul_into(acc, slope[j], coeffs[k - j], cap)
+        coeffs.append({key: value / k for key, value in acc.items() if value})
+    return tuple(coeffs)
 
 
 def todd_factor_poly(k: int, l: int, m: int) -> MPoly:
     """b_kl: the weight-l part of the t^k coefficient of the Todd exponential."""
     if k < 1 or l < 1:
         raise ValueError("need k >= 1 and l >= 1")
-    return graded_part(_twisted_series(m, k, l, 0).coeff(k), l)
+    return _as_mpoly(_twisted_series(m, k, l, 0)[k], l)
 
 
 def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
@@ -152,7 +158,7 @@ def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
     """
     if k < 0 or l < 0:
         raise ValueError("need k >= 0 and l >= 0")
-    return graded_part(_twisted_series(m, k, l).coeff(k), l)
+    return _as_mpoly(_twisted_series(m, k, l)[k], l)
 
 
 def d_poly(k: int, j: int, m: int) -> MPoly:
@@ -207,19 +213,10 @@ class ChernData:
         return cls(n, {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records})
 
 
-def _integrate(poly: MPoly, data: ChernData, j: int) -> Fraction:
-    """Pair a weight-j polynomial in the y_i (Chern classes) with c_(n-j)."""
-    total = Fraction(0)
-    for mono, coeff in poly.terms():
-        parts = []
-        for name, e in mono:
-            if name == NU:
-                raise ValueError("polynomial still contains nu")
-            parts.extend([int(name[1:])] * e)
-        if data.n - j >= 1:
-            parts.append(data.n - j)
-        total += coeff * data.number(parts)
-    return total
+def _integrate(graded: dict, data: ChernData, j: int) -> Fraction:
+    """Pair the weight-j part of a polynomial in the Chern classes with c_(n-j)."""
+    rest = (data.n - j,) if j < data.n else ()
+    return sum((c * data.number(lam + rest) for lam, c in graded.items() if sum(lam) == j), Fraction())
 
 
 def moment_from_chern(data: ChernData, k: int) -> Fraction:
@@ -249,7 +246,7 @@ def bernoulli_moments_from_chern(data: ChernData, nu, kmax: int) -> list:
     for k in range(1, kmax + 1):
         total = Fraction(0)
         for j in range(0, min(2 * k - 1, data.n) + 1):
-            total += (-1) ** j * _integrate(graded_part(series.coeff(2 * k - j), j), data, j)
+            total += (-1) ** j * _integrate(series[2 * k - j], data, j)
         values.append(factorial(2 * k) * total)
     return values
 
@@ -271,13 +268,7 @@ def partitions_of(n: int) -> list:
 
 def chern_data_pn(n: int) -> ChernData:
     """Chern numbers of P^n from c(P^n) = (1+h)^(n+1), integral of h^n = 1."""
-    numbers = {}
-    for partition in partitions_of(n):
-        value = 1
-        for p in partition:
-            value *= comb(n + 1, p)
-        numbers[partition] = Fraction(value)
-    return ChernData(n, numbers)
+    return ChernData(n, {lam: prod(comb(n + 1, p) for p in lam) for lam in partitions_of(n)})
 
 
 def chern_data_k3() -> ChernData:
@@ -292,10 +283,10 @@ def chern_data_genus(g: int) -> ChernData:
 
 def _builtin(spec: str, pn, k3, genus):
     """Parse 'pn:N', 'k3' or 'genus:G' and call the matching builder."""
-    name, _, arg = spec.lower().partition(":")
+    name, sep, arg = spec.lower().partition(":")
     if name == "pn":
         return pn(int(arg))
-    if name == "k3":
+    if name == "k3" and not sep:
         return k3()
     if name == "genus":
         return genus(int(arg))

@@ -26,6 +26,7 @@ MAX_STEPS = 64  # --steps of nu-threshold; each step is one transform
 MAX_CHERN_KMAX = 24  # --kmax of manifold chern
 MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
+MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
 # |e| of the decimal exponent of a rational argument (--nu, --x, --nu-hi, each
 # --weights part), checked before Fraction('1e<e>') computes 10**|e|; equal to
 # the default digit limit of int(), which bounds a plain 'p/q' the same way
@@ -76,7 +77,10 @@ def _at_most(limit: int):
 def _parse_weights(text: str) -> WeightSystem:
     from .spectra import WeightSystem
 
-    return WeightSystem(tuple(_fraction(part) for part in text.split(",")))
+    parts = text.split(",")
+    if len(parts) > MAX_WEIGHTS:
+        raise ValueError(f"{len(parts)} weights are above the cap of {MAX_WEIGHTS}")
+    return WeightSystem(tuple(_fraction(part) for part in parts))
 
 
 def _tpqr_params(p: int, q: int, r: int) -> TpqrParams:

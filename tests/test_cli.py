@@ -19,6 +19,7 @@ from bermoments.cli import (
     MAX_STEPS,
     MAX_THRESHOLD_K,
     MAX_TPQR_MU,
+    MAX_WEIGHTS,
     _build_parser,
     main,
 )
@@ -257,6 +258,9 @@ def assert_one_error_line(code, out, err):
         ("gamma", "--weights", "1/3,1e-100000000", "--nu", "1", "--kmax", "2"),
         ("apoly", "--k", "2", "--x", "1e9999999", "--nu", "1"),
         ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "1e1_0000000", "--steps", "4", "--k", "1"),
+        # more weights than the cap, each of them small
+        ("gamma", "--weights", ",".join(["1/2"] * (MAX_WEIGHTS + 1)), "--nu", "1", "--kmax", "2"),
+        ("manifold", "chern", "--builtin", "k3:5", "--nu", "1", "--kmax", "2"),
     ],
 )
 def test_input_errors_are_one_line(capsys, argv):
@@ -275,6 +279,7 @@ def test_caps_admit_their_bounds():
         ["manifold", "chern", "--builtin", "pn:8", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX)],
         ["gamma", "--tpqr", "2,3,7", "--nu", f"1e{MAX_EXPONENT}", "--kmax", "1"],
         ["apoly", "--k", "2", f"--x=-1.5e-{MAX_EXPONENT}", "--nu", "1"],
+        ["gamma", "--weights", ",".join(["1/2"] * MAX_WEIGHTS), "--nu", "1", "--kmax", "2"],
     ]
     for argv in accepted:
         parser.parse_args(argv)
@@ -285,6 +290,7 @@ def test_caps_admit_their_bounds():
     parser.parse_args(["gamma", "--tpqr", triple, "--nu", "1", "--kmax", "1"])
     # the largest benchmark sizes sit inside the caps
     assert MAX_KMAX >= 200 and MAX_APOLY_K >= 250 and MAX_THRESHOLD_K >= 26 and MAX_CHERN_KMAX >= 22
+    assert MAX_WEIGHTS >= 5
 
 
 def test_coprime_tpqr_is_accepted(capsys):
@@ -302,11 +308,14 @@ def test_chern_file_dimension_cap(tmp_path, capsys):
 
 
 def test_manifold_chern_reads_every_k_from_one_expansion(capsys):
-    argv = ("--nu", "1/2", "--kmax", "6")
-    code, out, _ = run(capsys, "manifold", "chern", "--builtin", "pn:3", *argv)
-    assert code == 0
-    chi_code, chi_out, _ = run(capsys, "manifold", "--chi=1,1,1,1", *argv)
-    assert chi_code == 0 and out == chi_out and len(out.splitlines()) == 7
+    # pn:6..8 at the kmax cap as well, where the expansion is largest
+    for n, nu, kmax in [(3, "1/2", 6), (6, "1/3", MAX_CHERN_KMAX), (7, "1/3", MAX_CHERN_KMAX),
+                        (8, "1/3", MAX_CHERN_KMAX)]:
+        argv = ("--nu", nu, "--kmax", str(kmax))
+        code, out, _ = run(capsys, "manifold", "chern", "--builtin", f"pn:{n}", *argv)
+        assert code == 0
+        chi_code, chi_out, _ = run(capsys, "manifold", "--chi=" + ",".join(["1"] * (n + 1)), *argv)
+        assert chi_code == 0 and out == chi_out and len(out.splitlines()) == kmax + 1
 
 
 def test_answer_beyond_int_digit_limit_is_printed_in_full(capsys):

@@ -84,6 +84,7 @@ def test_manifold_chern_loads_no_moment_module():
     loaded = loaded_after("manifold", "chern", "--builtin", "pn:2", "--nu", "2", "--kmax", "3")
     assert "chern" in loaded
     assert not loaded & {"moments", "bernpoly", "harness", "spectra"}
+    assert loaded == {"bermoments", "cli", "chern", "series"}
 
 
 @pytest.mark.parametrize("values", [(), ("--x", "1/3", "--nu", "5/2")])

@@ -261,5 +261,7 @@ def test_every_cache_is_bounded():
         module = importlib.import_module(f"bermoments.{info.name}")
         cached += [fn for fn in vars(module).values() if hasattr(fn, "cache_parameters")]
     assert cached
+    # the partition memo of the Chern expansion is among them
+    assert ("bermoments.chern", "_merge") in {(fn.__module__, fn.__qualname__) for fn in cached}
     for fn in cached:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
