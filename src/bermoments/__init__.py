@@ -18,6 +18,21 @@ command line run loads only the modules its command uses.
 
 import importlib
 
+# |e| of the decimal exponent of a rational read from argv or a text file, checked
+# before Fraction('1e<e>') computes 10**|e|; equal to the default digit limit of
+# int(), which bounds a plain 'p/q' the same way
+MAX_EXPONENT = 4300
+
+
+def _fraction(text: str):
+    """Fraction(text), with the exponent of '1e400' read off the text first."""
+    from fractions import Fraction  # here, so that importing the package stays cheap
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exponent.strip()} is beyond the cap of +-{MAX_EXPONENT}")
+    return Fraction(text)
+
+
 # module -> the public names it exports here
 _EXPORTS = {
     "bernpoly": (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .polynomials import MPoly
@@ -31,56 +30,43 @@ X = "x"
 NU = "nu"
 
 
-@lru_cache(maxsize=256)
-def _zero_table(nu) -> list:
-    """The values A_2j(0, nu), j = 0, 1, ..., grown in place by _zero_values."""
-    return []
+def _zero_values(k: int, nu) -> tuple:
+    """A_2j(0, nu) for 2j <= k (the odd values vanish).
 
-
-def _zero_values(order: int, nu) -> tuple:
-    """A_2j(0, nu) for 2j <= order (the odd values vanish).
-
-    They are the factorial-normalized values of exp(nu * theta).  One growing
-    table per nu serves every order: a larger order extends it, a smaller
-    one reads a prefix.  A rational nu gives exact values, and nu = None a
-    symbolic nu with values that are polynomials in it.
-    """
-    table = _zero_table(nu)
-    count = order // 2 + 1
-    if len(table) < count:
-        scale = MPoly.var(NU) if nu is None else nu
-        table[:] = _even_exp([scale * v for v in _theta_values(count)], table)
-    return tuple(table[:count])
-
-
-def _from_zero_values(k: int, x, nu):
-    """A_k(x, nu) = sum_j C(k, 2j) A_2j(0, nu) x^(k-2j), from e^(x*t).
-
-    `x` and `nu` are both rational, or both symbolic (an MPoly x, nu=None).
+    They are the factorial-normalized values of exp(nu * theta); a lower
+    k's table is a prefix.  A rational nu gives exact values, and nu = None
+    a symbolic nu with values that are polynomials in it.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    zeros = _zero_values(k, nu)
-    powers = [x ** (k - 2 * j) for j in range(len(zeros))]
-    return _dot([comb(k, 2 * j) for j in range(len(zeros))], zeros, powers)
+    scale = MPoly.var(NU) if nu is None else nu
+    return _even_exp([scale * v for v in _theta_values(k // 2 + 1)])
+
+
+def _from_zero_values(k: int, x, zeros):
+    """A_k(x, nu) = sum_j C(k, 2j) A_2j(0, nu) x^(k-2j), from e^(x*t).
+
+    `zeros` is a :func:`_zero_values` table to k or beyond, built once by a caller
+    that reads many values at one nu; a symbolic table (nu=None) takes an MPoly x.
+    """
+    count = k // 2 + 1
+    powers = [x ** (k - 2 * j) for j in range(count)]
+    return _dot([comb(k, 2 * j) for j in range(count)], zeros[:count], powers)
 
 
 def centered_bernoulli_at_zero(k: int) -> MPoly:
     """A_k(0, nu) as a polynomial in nu (zero for odd k)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     zeros = _zero_values(k, None)
     return zeros[-1] if k % 2 == 0 else zeros[0] * 0
 
 
-@lru_cache(maxsize=256)
 def centered_bernoulli_poly(k: int) -> MPoly:
     """A_k(x, nu) as an exact polynomial in x and nu.
 
     Assembled from the symbolic x = 0 values via the binomial expansion of
     e^(x*t), as in :func:`centered_bernoulli_value`.
     """
-    return _from_zero_values(k, MPoly.var(X), None)
+    return _from_zero_values(k, MPoly.var(X), _zero_values(k, None))
 
 
 def centered_bernoulli_value(k: int, x, nu) -> Fraction:
@@ -89,7 +75,7 @@ def centered_bernoulli_value(k: int, x, nu) -> Fraction:
     Evaluates through the x = 0 values at the given nu rather than through
     the symbolic polynomial, which keeps large k cheap.
     """
-    return _from_zero_values(k, Fraction(x), Fraction(nu))
+    return _from_zero_values(k, Fraction(x), _zero_values(k, Fraction(nu)))
 
 
 def generalized_bernoulli_value(k: int, nu, x) -> Fraction:

@@ -52,9 +52,9 @@ def _merge(lam: tuple, mu: tuple) -> tuple:
     return tuple(sorted(lam + mu, reverse=True))
 
 
-def _mul_into(out: dict, a: dict, b: dict, cap: int):
-    """out += a * b, forming only the products of weighted degree <= cap."""
-    b_items = [(mu, sum(mu), y) for mu, y in b.items()]
+def _mul_into(out: dict, a: dict, b, cap: int):
+    """out += a * b (b given by its items), forming only the products of weighted degree <= cap."""
+    b_items = [(mu, sum(mu), y) for mu, y in b]
     for lam, x in a.items():
         room = cap - sum(lam)
         for mu, weight, y in b_items:
@@ -75,8 +75,8 @@ def _as_mpoly(graded: dict, weight: int) -> MPoly:
 
 
 @lru_cache(maxsize=256)
-def _power_sum(r: int, m: int) -> dict:
-    """p_r(x_1..x_m) in the elementary symmetric y_i, keyed by partitions of r.
+def _power_sum(r: int, m: int) -> tuple:
+    """p_r(x_1..x_m) in the elementary symmetric y_i, as (partition of r, coefficient) pairs.
 
     Newton's identity p_r = sum_{i<r} (-1)^(i-1) y_i p_(r-i) + (-1)^(r-1) r y_r,
     with y_i = 0 for i > m.
@@ -84,14 +84,14 @@ def _power_sum(r: int, m: int) -> dict:
     out = {(r,): (-1) ** (r - 1) * r} if r <= m else {}
     for i in range(1, min(r - 1, m) + 1):
         _mul_into(out, {(i,): (-1) ** (i - 1)}, _power_sum(r - i, m), r)
-    return {key: c for key, c in out.items() if c}
+    return tuple((key, c) for key, c in out.items() if c)
 
 
 def power_sum_in_elementary(r: int, m: int) -> MPoly:
     """The power sum p_r(x_1..x_m) written in the elementary symmetric y_i."""
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    return _as_mpoly(_power_sum(r, m), r)
+    return _as_mpoly(dict(_power_sum(r, m)), r)
 
 
 def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
@@ -107,7 +107,6 @@ def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
     return (-1) ** (j + 1) * comb(2 * k, j) * power_sum_in_elementary(2 * k - j, m)
 
 
-@lru_cache(maxsize=64)
 def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
     """exp(sum_i [theta(x_i) - theta(x_i - t) + theta(t)] - nu * theta(t)) in t.
 
@@ -118,7 +117,7 @@ def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
     multiplication and are never negative, so a product above the cap never
     contributes and is never formed.  `nu` is rational, which gives Fraction
     values, or None for a symbolic nu, which gives MPoly values in nu, as in
-    ``bernpoly._zero_values``.  The cache shares the dicts: callers only read.
+    ``bernpoly._zero_values``.
     """
     theta = theta_series(t_order + cap)
     if nu is None:
@@ -131,14 +130,14 @@ def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
     for kp in range(1, (t_order + cap) // 2 + 1):
         for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
             scale = j * (-1) ** (j + 1) * comb(2 * kp, j) * theta.coeff(2 * kp)
-            for lam, c in _power_sum(2 * kp - j, m).items():
+            for lam, c in _power_sum(2 * kp - j, m):
                 slope[j][lam] = scale * c
     # E' = s'E, one coefficient at a time
     coeffs = [{(): Fraction(1)}]
     for k in range(1, t_order + 1):
         acc = {}
         for j in range(1, k + 1):
-            _mul_into(acc, slope[j], coeffs[k - j], cap)
+            _mul_into(acc, slope[j], coeffs[k - j].items(), cap)
         coeffs.append({key: value / k for key, value in acc.items() if value})
     return tuple(coeffs)
 
@@ -168,7 +167,6 @@ def d_poly(k: int, j: int, m: int) -> MPoly:
     return factorial(k) * (-1) ** j * twisted_todd_poly(k - j, j, m)
 
 
-@lru_cache(maxsize=256)
 def chern_moment_poly(k: int, j: int) -> MPoly:
     """q_kj(nu, y_1..y_j): the universal Chern-number coefficient polynomial.
 
@@ -210,7 +208,7 @@ class ChernData:
         from .spectra import _read_records
 
         n, records = _read_records(text, "partition", "value", "Chern")
-        return cls(n, {tuple(int(p) for p in key.split(",")): Fraction(value) for key, value in records})
+        return cls(n, {tuple(int(p) for p in key.split(",")): value for key, value in records})
 
 
 def _integrate(graded: dict, data: ChernData, j: int) -> Fraction:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+
+# MAX_EXPONENT caps the decimal exponent of each rational argument (--nu,
+# --x, --nu-hi, each --weights part) as it caps the values of the text files
+from . import MAX_EXPONENT, _fraction
 
 # The computation modules are imported by the handlers and argument types
 # that use them, so each command loads only what its answer needs.
@@ -27,10 +30,6 @@ MAX_CHERN_KMAX = 24  # --kmax of manifold chern
 MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
-# |e| of the decimal exponent of a rational argument (--nu, --x, --nu-hi, each
-# --weights part), checked before Fraction('1e<e>') computes 10**|e|; equal to
-# the default digit limit of int(), which bounds a plain 'p/q' the same way
-MAX_EXPONENT = 4300
 
 
 def _fmt_float(x: float) -> str:
@@ -49,24 +48,18 @@ def _type_error(parse):
     return parse_or_fail
 
 
-def _fraction(text: str) -> Fraction:
-    """Fraction(text), with the exponent of '1e400' read off the text first."""
-    _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > MAX_EXPONENT:
-        raise ValueError(f"exponent {exponent.strip()} is beyond the cap of +-{MAX_EXPONENT}")
-    return Fraction(text)
-
-
 _parse_fraction = _type_error(_fraction)
 
 
-def _at_most(limit: int):
-    """An integer option that is refused above `limit`."""
+def _at_most(limit: int, least: int = 0):
+    """An integer option that is refused above `limit` and below `least`."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value > limit:
             raise argparse.ArgumentTypeError(f"{value} is above the cap of {limit}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below the least value {least}")
         return value
 
     parse.__name__ = "int"  # argparse names the type when int() fails
@@ -145,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bernoulli", help="print Bernoulli numbers B_0..B_{N-1}")
-    p.add_argument("--count", type=_at_most(MAX_ORDER), required=True)
+    p.add_argument("--count", type=_at_most(MAX_ORDER, 1), required=True)
 
     p = sub.add_parser("theta", help="Taylor coefficients of log((t/2)/sinh(t/2))")
     p.add_argument("--order", type=_at_most(MAX_ORDER), required=True)
@@ -180,13 +173,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="cosine-normalized moment sequence")
     _add_spectrum_source(p)
     p.add_argument("--nu", type=_parse_fraction, required=True)
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX, 1), required=True)
 
     p = sub.add_parser("nu-threshold", help="bisect the smallest admissible nu")
     _add_spectrum_source(p)
     p.add_argument("--k", type=_at_most(MAX_THRESHOLD_K), required=True)
     p.add_argument("--nu-hi", type=_parse_fraction, required=True)
-    p.add_argument("--steps", type=_at_most(MAX_STEPS), required=True)
+    p.add_argument("--steps", type=_at_most(MAX_STEPS, 1), required=True)
     p.add_argument("--k-cap", type=_at_most(MAX_THRESHOLD_K))
 
     p = sub.add_parser("manifold", help="moments of a compact complex manifold")

@@ -24,7 +24,7 @@ from functools import reduce
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
-from .bernpoly import _zero_values, centered_bernoulli_value, generalized_bernoulli_value
+from .bernpoly import _from_zero_values, _zero_values
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -164,10 +164,10 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    nu = Fraction(nu)
+    zeros = _zero_values(2 * k, Fraction(nu))
     total = Fraction(0)
     for a, mult in s.centered():
-        total += mult * centered_bernoulli_value(2 * k, a, nu)
+        total += mult * _from_zero_values(2 * k, a, zeros)
     return total
 
 
@@ -181,10 +181,11 @@ def _weight_product(factor_values, ws: WeightSystem, order: int) -> tuple:
 
 def _qh_moment_values(w: Fraction, order: int) -> tuple:
     """Factor with Gamma-free coefficients w^2k * 2/(2k+1) * B_(2k+1)(1/(2w))."""
-    x = Fraction(1, 2 * w)
+    x = Fraction(1, 2 * w) - Fraction(1, 2)  # B_j(y) = A_j(y - 1/2, 1)
+    zeros = _zero_values(order + 1, 1)
 
     def value_at(two_k):
-        return w**two_k * Fraction(2, two_k + 1) * generalized_bernoulli_value(two_k + 1, 1, x)
+        return w**two_k * Fraction(2, two_k + 1) * _from_zero_values(two_k + 1, x, zeros)
 
     return tuple(map(value_at, range(0, order + 1, 2)))
 
@@ -325,9 +326,10 @@ def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    zeros = _zero_values(order + 1, Fraction(n + 1))  # B_j^(n+1)(0) = A_j(-(n+1)/2, n+1)
 
     def value_at(two_k):
-        return Fraction(-2, two_k + 1) * generalized_bernoulli_value(two_k + 1, n + 1, 0)
+        return Fraction(-2, two_k + 1) * _from_zero_values(two_k + 1, Fraction(-(n + 1), 2), zeros)
 
     return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, n)
 
@@ -338,11 +340,12 @@ def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
     Gamma_2k = -4/(2k+1) * B_(2k+1)^(3)(0) + 18 * B_2k^(2)(1); the signed
     values vanish at k = 1 and equal 24(2k-1)|B_2k| afterwards.
     """
+    # B_j^(3)(0) = A_j(-3/2, 3) and B_2k^(2)(1) = A_2k(0, 2)
+    threes, twos = _zero_values(order + 1, Fraction(3)), _zero_values(order, Fraction(2))
 
     def value_at(two_k):
-        return Fraction(-4, two_k + 1) * generalized_bernoulli_value(
-            two_k + 1, 3, 0
-        ) + 18 * generalized_bernoulli_value(two_k, 2, 1)
+        odd = _from_zero_values(two_k + 1, Fraction(-3, 2), threes)
+        return Fraction(-4, two_k + 1) * odd + 18 * twos[two_k // 2]
 
     return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, 2)
 

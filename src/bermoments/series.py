@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable
 
@@ -92,11 +91,6 @@ class TruncatedSeries:
 
     def is_even(self) -> bool:
         return all(c == 0 for c in self.coeffs[1::2])
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def _require_same_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -264,15 +258,14 @@ def _even_mul(a, b) -> tuple:
     return tuple(_dot(_binomial_row(2 * k)[::2], a[: k + 1], b[k::-1]) for k in range(len(a)))
 
 
-def _even_exp(s, prefix=()) -> tuple:
+def _even_exp(s) -> tuple:
     """exp of an even series with zero constant term, on factorial-normalized values.
 
     The moment-cumulant recurrence e_2k = sum_j C(2k-1, 2j-1) s_2j e_(2k-2j)
-    (E' = s'E) needs no division.  `prefix` holds values already computed for
-    the same s, which are extended to the length of s.
+    (E' = s'E) needs no division.
     """
-    e = list(prefix) or [s[0] * 0 + 1]
-    for k in range(len(e), len(s)):
+    e = [s[0] * 0 + 1]
+    for k in range(1, len(s)):
         e.append(_dot(_binomial_row(2 * k - 1)[1::2], s[1 : k + 1], e[k - 1 :: -1]))
     return tuple(e)
 
@@ -296,7 +289,6 @@ def _even_series(order: int, value_at, zero=Fraction(0)) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=256)
 def theta_series(order: int) -> TruncatedSeries:
     """log((t/2)/sinh(t/2)) truncated at `order`.
 
@@ -308,7 +300,6 @@ def theta_series(order: int) -> TruncatedSeries:
     return _even_series(order, lambda two_k: values[two_k // 2])
 
 
-@lru_cache(maxsize=64)
 def sinhc_half(order: int) -> TruncatedSeries:
     """sinh(t/2)/(t/2) truncated at `order`; exp(-theta_series)."""
     return _even_series(order, lambda two_k: Fraction(1, 2**two_k * (two_k + 1)))

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
+from . import _fraction
+
 __all__ = [
     "Spectrum",
     "WeightSystem",
@@ -41,8 +43,9 @@ __all__ = [
 def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
     """(n, [(key, value), ...]) from 'n <int>' and '<record> <key> <label> <value>' lines.
 
-    Blank lines and '#' comments are skipped; keys and values stay strings.
-    The spectrum and Chern-number text formats are both read this way.
+    Blank lines and '#' comments are skipped; keys stay strings, and values are
+    read under the exponent cap of the rational arguments.  The spectrum and
+    Chern-number text formats are both read this way.
     """
     n = None
     records = []
@@ -54,7 +57,7 @@ def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
         if fields[0] == "n" and len(fields) == 2:
             n = int(fields[1])
         elif fields[0] == record and len(fields) == 4 and fields[2] == label:
-            records.append((fields[1], fields[3]))
+            records.append((fields[1], _fraction(fields[3])))
         else:
             raise ValueError(f"unrecognized {kind} file line: {line!r}")
     if n is None:
@@ -129,7 +132,7 @@ class Spectrum:
     @classmethod
     def from_text(cls, text: str) -> "Spectrum":
         n, records = _read_records(text, "alpha", "mult", "spectrum")
-        return cls(n, tuple((Fraction(alpha), Fraction(mult)) for alpha, mult in records))
+        return cls(n, tuple((_fraction(alpha), mult) for alpha, mult in records))
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,23 @@ def assert_one_error_line(code, out, err):
     assert "Traceback" not in err
 
 
+# size options under the least value their library function accepts, each
+# the last option of its command line
+BELOW_LEAST = [
+    ("gamma", "--weights", "1/256,1/511", "--nu", "1", "--kmax", "-1"),
+    ("check", "--tpqr", "2,3,7", "--mode", "S", "--kmax", "-1"),
+    ("trace", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "0"),
+    ("manifold", "--chi=1,1", "--nu", "1", "--kmax", "-1"),
+    ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "-2"),
+    ("theta", "--order", "-1"),
+    ("bernoulli", "--count", "0"),
+    ("apoly", "--k", "-1"),
+    ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", "4", "--k", "-1"),
+    ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", "4", "--k", "0", "--k-cap", "-1"),
+    ("nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--k", "1", "--steps", "0"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -261,10 +278,38 @@ def assert_one_error_line(code, out, err):
         # more weights than the cap, each of them small
         ("gamma", "--weights", ",".join(["1/2"] * (MAX_WEIGHTS + 1)), "--nu", "1", "--kmax", "2"),
         ("manifold", "chern", "--builtin", "k3:5", "--nu", "1", "--kmax", "2"),
-    ],
+    ]
+    + BELOW_LEAST,
 )
 def test_input_errors_are_one_line(capsys, argv):
-    assert_one_error_line(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    if argv in BELOW_LEAST:
+        # refused as parsed, before any spectrum is built, naming the option
+        assert f"argument {argv[-2]}: {argv[-1]} is below the least value" in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("big.spectrum", "n 1\nalpha 1e10000000 mult 1\n"),
+        ("small.spectrum", "n 1\nalpha -1e-10000000 mult 1\nalpha 1e-10000000 mult 1\n"),
+        ("big.chern", "n 1\npartition 1 value 1e10000000\n"),
+        ("small.chern", "n 1\npartition 1 value 1e-10000000\n"),
+    ],
+)
+def test_file_values_obey_the_exponent_cap(tmp_path, capsys, name, text):
+    # the files are read with the rule of the rational arguments, before
+    # Fraction('1e10000000') would compute 10**10000000
+    path = tmp_path / name
+    path.write_text(text)
+    if name.endswith(".chern"):
+        argv = ("manifold", "chern", "--file", str(path), "--nu", "0", "--kmax", "1")
+    else:
+        argv = ("gamma", "--spectrum-file", str(path), "--nu", "1", "--kmax", "1")
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert f"cap of +-{MAX_EXPONENT}" in err
 
 
 def test_caps_admit_their_bounds():
@@ -280,6 +325,14 @@ def test_caps_admit_their_bounds():
         ["gamma", "--tpqr", "2,3,7", "--nu", f"1e{MAX_EXPONENT}", "--kmax", "1"],
         ["apoly", "--k", "2", f"--x=-1.5e-{MAX_EXPONENT}", "--nu", "1"],
         ["gamma", "--weights", ",".join(["1/2"] * MAX_WEIGHTS), "--nu", "1", "--kmax", "2"],
+        # and their least values
+        ["gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "0"],
+        ["trace", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "1"],
+        ["manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "0"],
+        ["theta", "--order", "0"],
+        ["bernoulli", "--count", "1"],
+        ["apoly", "--k", "0"],
+        ["nu-threshold", "--tpqr", "2,3,7", "--nu-hi", "2", "--steps", "1", "--k", "0", "--k-cap", "0"],
     ]
     for argv in accepted:
         parser.parse_args(argv)

@@ -520,3 +520,14 @@ class TestEvenValueTransform:
             MomentSeries.from_values(v.values, 12)
         with pytest.raises(ValueError):
             moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), -2)
+
+
+def test_explicit_tables_hold_at_high_order():
+    # each closed form reads every order from one A_2j(0, nu) table per nu,
+    # built once per call and passed down
+    k3 = bernoulli_moments(moments_of_chi(ChiVector((2, 20, 2)), 200), 2)
+    assert gamma_k3_closed(200) == k3
+    p6 = bernoulli_moments(moments_of_chi(ChiVector((1,) * 7), 200), 6)
+    assert gamma_pn_closed(6, 200) == p6
+    for ws in (WeightSystem((F(1, 5), F(1, 4), F(1, 3))), WeightSystem((F(4, 15), F(1, 5)))):
+        assert moments_qh_product(ws, 120) == moments_of_spectrum(spectrum_from_weights(ws), 120)

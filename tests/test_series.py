@@ -242,7 +242,7 @@ class TestEvenKernel:
     @given(s=even_values_st(9, constant=0), cut=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
     def test_exp_extends_a_prefix(self, s, cut):
-        assert _even_exp(s, _even_exp(s[:cut])) == _even_exp(s)
+        assert _even_exp(s)[:cut] == _even_exp(s[:cut])
 
     def test_symbolic_values_are_summed_term_by_term(self):
         y = MPoly.var("y")
@@ -260,8 +260,9 @@ def test_every_cache_is_bounded():
     for info in pkgutil.iter_modules(bermoments.__path__):
         module = importlib.import_module(f"bermoments.{info.name}")
         cached += [fn for fn in vars(module).values() if hasattr(fn, "cache_parameters")]
-    assert cached
-    # the partition memo of the Chern expansion is among them
-    assert ("bermoments.chern", "_merge") in {(fn.__module__, fn.__qualname__) for fn in cached}
+    # only the partition memos of the Chern expansion are hit by repeated
+    # calls; a new cache is a deliberate change of this list
+    names = sorted((fn.__module__, fn.__qualname__) for fn in cached)
+    assert names == [("bermoments.chern", "_merge"), ("bermoments.chern", "_power_sum")]
     for fn in cached:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
