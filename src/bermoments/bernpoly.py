@@ -34,20 +34,19 @@ def _zero_values(k: int, nu) -> tuple:
     """A_2j(0, nu) for 2j <= k (the odd values vanish).
 
     They are the factorial-normalized values of exp(nu * theta); a lower
-    k's table is a prefix.  A rational nu gives exact values, and nu = None
-    a symbolic nu with values that are polynomials in it.
+    k's table is a prefix.  A rational nu gives exact values, and
+    nu = MPoly.var(NU) values that are polynomials in nu.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    scale = MPoly.var(NU) if nu is None else nu
-    return _even_exp([scale * v for v in _theta_values(k // 2 + 1)])
+    return _even_exp([nu * v for v in _theta_values(k // 2 + 1)])
 
 
 def _from_zero_values(k: int, x, zeros):
     """A_k(x, nu) = sum_j C(k, 2j) A_2j(0, nu) x^(k-2j), from e^(x*t).
 
     `zeros` is a :func:`_zero_values` table to k or beyond, built once by a caller
-    that reads many values at one nu; a symbolic table (nu=None) takes an MPoly x.
+    that reads many values at one nu; a symbolic table (nu an MPoly) takes an MPoly x.
     """
     count = k // 2 + 1
     powers = [x ** (k - 2 * j) for j in range(count)]
@@ -56,7 +55,7 @@ def _from_zero_values(k: int, x, zeros):
 
 def centered_bernoulli_at_zero(k: int) -> MPoly:
     """A_k(0, nu) as a polynomial in nu (zero for odd k)."""
-    zeros = _zero_values(k, None)
+    zeros = _zero_values(k, MPoly.var(NU))
     return zeros[-1] if k % 2 == 0 else zeros[0] * 0
 
 
@@ -66,7 +65,7 @@ def centered_bernoulli_poly(k: int) -> MPoly:
     Assembled from the symbolic x = 0 values via the binomial expansion of
     e^(x*t), as in :func:`centered_bernoulli_value`.
     """
-    return _from_zero_values(k, MPoly.var(X), _zero_values(k, None))
+    return _from_zero_values(k, MPoly.var(X), _zero_values(k, MPoly.var(NU)))
 
 
 def centered_bernoulli_value(k: int, x, nu) -> Fraction:

@@ -22,25 +22,6 @@ from math import comb, factorial, prod
 
 from .series import theta_series
 
-__all__ = [
-    "ChernData",
-    "power_sum_in_elementary",
-    "shift_difference_poly",
-    "todd_factor_poly",
-    "twisted_todd_poly",
-    "d_poly",
-    "chern_moment_poly",
-    "moment_from_chern",
-    "bernoulli_moment_from_chern",
-    "bernoulli_moments_from_chern",
-    "chern_data_pn",
-    "chern_data_k3",
-    "chern_data_genus",
-    "builtin_chern_data",
-    "builtin_chi_vector",
-    "partitions_of",
-]
-
 # A symmetric polynomial in y_1, y_2, ... is kept as a dict from partitions
 # (descending tuples) to coefficients: the key (2, 1, 1) stands for
 # y_2 y_1^2, and its weighted degree is sum(key).
@@ -107,7 +88,7 @@ def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
     return (-1) ** (j + 1) * comb(2 * k, j) * power_sum_in_elementary(2 * k - j, m)
 
 
-def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
+def _twisted_series(m: int, t_order: int, cap: int, nu) -> tuple:
     """exp(sum_i [theta(x_i) - theta(x_i - t) + theta(t)] - nu * theta(t)) in t.
 
     The coefficients of t^0..t^t_order, each a partition-keyed symmetric
@@ -115,15 +96,10 @@ def _twisted_series(m: int, t_order: int, cap: int, nu=None) -> tuple:
     has weight exactly 2k' - j, so each t^j coefficient receives finitely
     many contributions; nu * theta has weight 0.  Weights add under
     multiplication and are never negative, so a product above the cap never
-    contributes and is never formed.  `nu` is rational, which gives Fraction
-    values, or None for a symbolic nu, which gives MPoly values in nu, as in
-    ``bernpoly._zero_values``.
+    contributes and is never formed.  A rational `nu` gives Fraction values,
+    and nu = MPoly.var("nu") MPoly values in nu, as in ``bernpoly._zero_values``.
     """
     theta = theta_series(t_order + cap)
-    if nu is None:
-        from .polynomials import MPoly
-
-        nu = MPoly.var("nu")
     # t s'(t) for the exponent s: coefficient j is j * s_j
     twist = [-j * nu * theta.coeff(j) for j in range(t_order + 1)]
     slope = [{(): c} if c else {} for c in twist]
@@ -155,9 +131,11 @@ def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
     c_k0 = A_k(0, -nu)/k! and c_0l = 0 for l >= 1; for k, l >= 1 it equals
     sum_j A_j(0, -nu)/j! * b_(k-j),l.
     """
+    from .polynomials import MPoly
+
     if k < 0 or l < 0:
         raise ValueError("need k >= 0 and l >= 0")
-    return _as_mpoly(_twisted_series(m, k, l)[k], l)
+    return _as_mpoly(_twisted_series(m, k, l, MPoly.var("nu"))[k], l)
 
 
 def d_poly(k: int, j: int, m: int) -> MPoly:

@@ -37,12 +37,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _type_error(parse):
-    """Report the ValueError or ZeroDivisionError of `parse` as an argparse type error."""
+    """Report the ValueError, ZeroDivisionError or OSError of `parse` as an argparse type error."""
 
     def parse_or_fail(text: str):
         try:
             return parse(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OSError) as exc:
             raise argparse.ArgumentTypeError(f"invalid value {text!r} ({exc})") from None
 
     return parse_or_fail
@@ -102,16 +102,35 @@ def _parse_puiseux(text: str) -> tuple:
     return tuple(pairs)
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+@_type_error
+def _parse_spectrum_file(path: str) -> Spectrum:
+    from .spectra import Spectrum
+
+    return Spectrum.from_text(_read_text(path))
+
+
+@_type_error
+def _parse_chern_file(path: str) -> ChernData:
+    from .chern import ChernData
+
+    return ChernData.from_text(_read_text(path))
+
+
 def _add_spectrum_source(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", type=_parse_weights, help="quasihomogeneous weights, e.g. 1/3,1/2")
     group.add_argument("--tpqr", type=_parse_tpqr, help="hyperbolic triple, e.g. 2,3,7")
     group.add_argument("--puiseux", type=_parse_puiseux, help="Puiseux pairs, e.g. 2:3,2:7")
-    group.add_argument("--spectrum-file", help="path of a spectrum text file")
+    group.add_argument("--spectrum-file", type=_parse_spectrum_file, help="path of a spectrum text file")
 
 
 def _spectrum_from_args(args) -> Spectrum:
-    from .spectra import PuiseuxData, Spectrum, spectrum_curve, spectrum_from_weights, spectrum_tpqr
+    from .spectra import PuiseuxData, spectrum_curve, spectrum_from_weights, spectrum_tpqr
 
     if args.weights is not None:
         return spectrum_from_weights(args.weights)
@@ -119,8 +138,7 @@ def _spectrum_from_args(args) -> Spectrum:
         return spectrum_tpqr(args.tpqr)
     if args.puiseux is not None:
         return spectrum_curve(PuiseuxData(args.puiseux))
-    with open(args.spectrum_file, encoding="utf-8") as handle:
-        return Spectrum.from_text(handle.read())
+    return args.spectrum_file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,8 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="Bernoulli moments of a spectrum")
     _add_spectrum_source(p)
-    p.add_argument("--nu", type=_parse_fraction, help="transform parameter")
-    p.add_argument("--mode", choices=("W", "S"), help="use nu = n+1 (W) or the spread (S)")
+    nu_source = p.add_mutually_exclusive_group(required=True)
+    nu_source.add_argument("--nu", type=_parse_fraction, help="transform parameter")
+    nu_source.add_argument("--mode", choices=("W", "S"), help="use nu = n+1 (W) or the spread (S)")
     p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
 
     p = sub.add_parser("check", help="verify the sign conjecture on a spectrum")
@@ -188,8 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=_at_most(MAX_KMAX))
     manifold_sub = p.add_subparsers(dest="mode")
     p_chern = manifold_sub.add_parser("chern", help="from Chern numbers")
-    p_chern.add_argument("--builtin", help="pn:N, k3 or genus:G")
-    p_chern.add_argument("--file", help="Chern number file")
+    chern_source = p_chern.add_mutually_exclusive_group(required=True)
+    chern_source.add_argument("--builtin", help="pn:N, k3 or genus:G")
+    chern_source.add_argument("--file", type=_parse_chern_file, help="Chern number file")
     p_chern.add_argument("--nu", type=_parse_fraction, required=True)
     p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
 
@@ -258,8 +278,6 @@ def _cmd_gamma(args) -> int:
     from .harness import conjecture_nu
     from .moments import bernoulli_moments, moments_of_spectrum
 
-    if (args.nu is None) == (args.mode is None):
-        raise ValueError("gamma needs exactly one of --nu or --mode")
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
     gamma = bernoulli_moments(moments_of_spectrum(spectrum, 2 * args.kmax), nu)
@@ -303,17 +321,14 @@ def _check_chern_dimension(n: int):
 
 def _cmd_manifold(args) -> int:
     if args.mode == "chern":
-        from .chern import ChernData, _builtin, bernoulli_moments_from_chern, builtin_chern_data
+        from .chern import _builtin, bernoulli_moments_from_chern, builtin_chern_data
 
-        if (args.builtin is None) == (args.file is None):
-            raise ValueError("manifold chern needs exactly one of --builtin or --file")
-        if args.builtin:
+        if args.builtin is not None:
             # read n off the spec first: pn:N lists the partitions of N
             _check_chern_dimension(_builtin(args.builtin, lambda n: n, lambda: 2, lambda g: 1))
             data = builtin_chern_data(args.builtin)
         else:
-            with open(args.file, encoding="utf-8") as handle:
-                data = ChernData.from_text(handle.read())
+            data = args.file
             _check_chern_dimension(data.n)
         return _print_rows(bernoulli_moments_from_chern(data, args.nu, args.kmax))
     if args.chi is None or args.nu is None or args.kmax is None:
@@ -345,8 +360,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    # argv was parsed under the interpreter's limit on the digits of an int
-    # <-> str conversion (3.10.7+); the exact answer is printed in full
+    # argv and the files it names were parsed under the interpreter's limit on
+    # the digits of an int <-> str conversion (3.10.7+); the exact answer is
+    # printed in full
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)

@@ -30,16 +30,6 @@ from .series import bernoulli_numbers
 if TYPE_CHECKING:  # annotations only
     from .spectra import Spectrum
 
-__all__ = [
-    "ConjectureReport",
-    "check_conjecture",
-    "nu_threshold",
-    "trace_convergence",
-    "trace_limit",
-    "curve_correction_terms",
-    "curve_correction_coefficient",
-]
-
 
 @dataclass(frozen=True)
 class ConjectureReport:

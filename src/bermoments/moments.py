@@ -38,24 +38,6 @@ from .series import (
 if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra
     from .spectra import Spectrum, TpqrParams, WeightSystem
 
-__all__ = [
-    "MomentSeries",
-    "ChiVector",
-    "moments_of_spectrum",
-    "bernoulli_moments",
-    "bernoulli_moment_direct",
-    "moments_qh_product",
-    "gamma_qh_product_nplus1",
-    "gamma_qh_product_spread",
-    "q_exponent_poly",
-    "q_factor_series",
-    "gamma_tpqr_closed",
-    "moments_of_chi",
-    "gamma_pn_closed",
-    "gamma_k3_closed",
-    "gamma_genus_closed",
-]
-
 
 @dataclass(frozen=True, init=False)
 class MomentSeries:
@@ -95,7 +77,7 @@ class MomentSeries:
     @property
     def series(self) -> TruncatedSeries:
         """The plain Taylor series, built on each call."""
-        return _even_series(self.order, lambda two_k: self.values[two_k // 2])
+        return _even_series(self.values, self.order)
 
     @property
     def is_raw(self) -> bool:
@@ -212,8 +194,7 @@ def gamma_weight_factor(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     constant term mu.  The coefficient signs alternate as (-1)^k for any
     weight in (0, 1/2].
     """
-    values = _gamma_weight_values(Fraction(w), order)
-    return _even_series(order, lambda two_k: values[two_k // 2])
+    return _even_series(_gamma_weight_values(Fraction(w), order), order)
 
 
 def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -261,8 +242,7 @@ def q_factor_series(w, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     if isinstance(w, (int, Fraction)):
         w = Fraction(w)
-    values = _q_factor_values(w, order)
-    return _even_series(order, lambda two_k: values[two_k // 2], w * 0)
+    return _even_series(_q_factor_values(w, order), order)
 
 
 def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:

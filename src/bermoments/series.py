@@ -276,16 +276,15 @@ def _theta_values(count: int) -> tuple:
     return (Fraction(0),) + tuple(Fraction(-1, 2 * k) * bern[2 * k] for k in range(1, count))
 
 
-def _even_series(order: int, value_at, zero=Fraction(0)) -> TruncatedSeries:
-    """The even series sum_k value_at(2k) t^2k/(2k)! truncated at `order`.
+def _even_series(values, order: int) -> TruncatedSeries:
+    """The even series sum_k values[k] t^2k/(2k)! truncated at `order`.
 
-    ``value_at`` maps an even index to the factorial-normalized coefficient
-    there; odd coefficients are `zero`, which a symbolic caller sets to the
-    zero of its coefficient ring.
+    ``values`` holds the factorial-normalized coefficients at t^0, t^2, ...
+    to `order` or beyond; the odd coefficients are the zero of their ring.
     """
-    coeffs = [zero] * (order + 1)
-    for two_k in range(0, order + 1, 2):
-        coeffs[two_k] = value_at(two_k) / factorial(two_k)
+    coeffs = [values[0] * 0] * (order + 1)
+    for k in range(order // 2 + 1):
+        coeffs[2 * k] = values[k] / factorial(2 * k)
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -296,10 +295,10 @@ def theta_series(order: int) -> TruncatedSeries:
     coefficient at t**2k is -B_2k/(2k).  Exponentiating nu times this series
     is what turns plain moments into Bernoulli moments.
     """
-    values = _theta_values(order // 2 + 1)
-    return _even_series(order, lambda two_k: values[two_k // 2])
+    return _even_series(_theta_values(order // 2 + 1), order)
 
 
 def sinhc_half(order: int) -> TruncatedSeries:
     """sinh(t/2)/(t/2) truncated at `order`; exp(-theta_series)."""
-    return _even_series(order, lambda two_k: Fraction(1, 2**two_k * (two_k + 1)))
+    values = [Fraction(1, 2**two_k * (two_k + 1)) for two_k in range(0, order + 1, 2)]
+    return _even_series(values, order)

@@ -27,18 +27,6 @@ from itertools import accumulate
 
 from . import _fraction
 
-__all__ = [
-    "Spectrum",
-    "WeightSystem",
-    "TpqrParams",
-    "PuiseuxData",
-    "spectrum_from_weights",
-    "spectrum_tpqr",
-    "spectrum_curve",
-    "thom_sebastiani",
-    "abstract_spectrum",
-]
-
 
 def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
     """(n, [(key, value), ...]) from 'n <int>' and '<record> <key> <label> <value>' lines.
@@ -291,14 +279,14 @@ def _binomial_quotient(steps, denom: int) -> list:
     return quot
 
 
-def _entries_from_dense(coeffs: list, denom: int, shift: Fraction = Fraction(1)):
+def _entries_from_dense(coeffs: list, denom: int):
     entries = []
     for e, c in enumerate(coeffs):
         if c == 0:
             continue
         if c < 0:
             raise ValueError("generating function produced a negative coefficient")
-        entries.append((Fraction(e, denom) - shift, Fraction(c)))
+        entries.append((Fraction(e, denom) - 1, Fraction(c)))
     return entries
 
 
@@ -317,12 +305,8 @@ def spectrum_from_weights(ws: WeightSystem) -> Spectrum:
 
 def spectrum_tpqr(params: TpqrParams) -> Spectrum:
     """Spectrum of T_{p,q,r}: {0, 1} plus i/p, i/q, i/r for interior i; n = 2."""
-    counts: dict = {Fraction(0): Fraction(1), Fraction(1): Fraction(1)}
-    for m in (params.p, params.q, params.r):
-        for i in range(1, m):
-            alpha = Fraction(i, m)
-            counts[alpha] = counts.get(alpha, Fraction(0)) + 1
-    return Spectrum(2, tuple(counts.items()))
+    interior = [(Fraction(i, m), 1) for m in (params.p, params.q, params.r) for i in range(1, m)]
+    return Spectrum(2, ((0, 1), (1, 1), *interior))
 
 
 def spectrum_curve(data: PuiseuxData) -> Spectrum:
@@ -352,6 +336,8 @@ def thom_sebastiani(a: Spectrum, b: Spectrum) -> Spectrum:
     Entries are alpha_i + beta_j + 1 with multiplied multiplicities;
     the ambient parameter is n_a + n_b + 1.
     """
+    # merged here, not left to Spectrum: the mu_a * mu_b pairs fall on far
+    # fewer distinct sums, and Spectrum would first convert every pair
     merged: dict = {}
     for alpha, ma in a.entries:
         for beta, mb in b.entries:

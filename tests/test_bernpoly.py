@@ -262,7 +262,7 @@ class TestZeroValues:
 
     def test_symbolic_nu_matches_series_exp(self):
         expanded = theta_series(16).scale(nu).exp()
-        zeros = _zero_values(16, None)
+        zeros = _zero_values(16, nu)
         assert zeros == tuple(expanded.moment(two_k) for two_k in range(0, 17, 2))
         assert all(isinstance(z, MPoly) for z in zeros)
         odd = centered_bernoulli_at_zero(5)
@@ -276,6 +276,6 @@ class TestZeroValues:
         high = _zero_values(31, value)
         assert high[: len(low)] == low and len(low) == 4 and len(high) == 16
         assert _zero_values(11, value) == high[:6]
-        symbolic = _zero_values(31, None)
-        assert _zero_values(11, None) == symbolic[:6]
+        symbolic = _zero_values(31, nu)
+        assert _zero_values(11, nu) == symbolic[:6]
         assert tuple(z.eval({"nu": value}) for z in symbolic) == high

@@ -58,10 +58,10 @@ def weight_truncate(poly, cap):
     return MPoly.from_terms((mono, c) for mono, c in poly.terms() if y_weight(mono) <= cap)
 
 
-def expansion_as_mpoly(m, t_order, cap, nu=None):
+def expansion_as_mpoly(m, t_order, cap, nu_value=nu):
     """_twisted_series as MPoly coefficients, after checking its partition keys."""
     coeffs = []
-    for graded in _twisted_series(m, t_order, cap, nu):
+    for graded in _twisted_series(m, t_order, cap, nu_value):
         for lam in graded:
             assert list(lam) == sorted(lam, reverse=True) and all(1 <= p <= m for p in lam)
             assert sum(lam) <= cap

@@ -279,7 +279,9 @@ BELOW_LEAST = [
         ("gamma", "--weights", ",".join(["1/2"] * (MAX_WEIGHTS + 1)), "--nu", "1", "--kmax", "2"),
         ("manifold", "chern", "--builtin", "k3:5", "--nu", "1", "--kmax", "2"),
     ]
-    + BELOW_LEAST,
+    + BELOW_LEAST
+    # an empty --builtin is a source of its own, not a missing one
+    + [("manifold", "chern", "--builtin", "", "--nu", "1", "--kmax", "2")],
 )
 def test_input_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -310,6 +312,29 @@ def test_file_values_obey_the_exponent_cap(tmp_path, capsys, name, text):
     code, out, err = run(capsys, *argv)
     assert_one_error_line(code, out, err)
     assert f"cap of +-{MAX_EXPONENT}" in err
+
+
+@pytest.mark.parametrize("digits", [MAX_EXPONENT, MAX_EXPONENT + 1])
+@pytest.mark.parametrize("kind", ["spectrum", "chern"])
+def test_file_values_obey_the_digit_limit(tmp_path, capsys, kind, digits):
+    # a plain p/q in a file is parsed with the arguments, under the digit
+    # limit of int(), as the same value in argv is
+    one, six = "1" + "0" * (digits - 1), "6" + "0" * (digits - 1)
+    path = tmp_path / f"plain.{kind}"
+    if kind == "chern":
+        path.write_text(f"n 1\npartition 1 value {six}/{one}\n")
+        argv = ("manifold", "chern", "--file", str(path), "--nu", "0", "--kmax", "1")
+        expected = ["0\t6", "1\t3/2"]
+    else:
+        path.write_text(f"n 1\nalpha -{one}/{six} mult 1\nalpha {one}/{six} mult 1\n")
+        argv = ("gamma", "--spectrum-file", str(path), "--nu", "2", "--kmax", "1")
+        expected = ["0\t2", "1\t-5/18"]
+    code, out, err = run(capsys, *argv)
+    if digits > sys.get_int_max_str_digits():
+        assert_one_error_line(code, out, err)
+        assert f"has {digits} digits" in err
+    else:
+        assert code == 0 and out.splitlines() == expected
 
 
 def test_caps_admit_their_bounds():

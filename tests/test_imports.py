@@ -4,6 +4,7 @@ the package's lazy exports resolve to the objects of their modules."""
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +99,14 @@ def test_export_is_the_module_object(module, name):
     assert getattr(bermoments, name) is getattr(importlib.import_module(f"bermoments.{module}"), name)
     assert name in bermoments.__all__
     assert name in dir(bermoments)
+
+
+def test_all_is_exactly_the_pinned_names():
+    assert sorted(bermoments.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    assert len(bermoments.__all__) == 58
+    # the package's table is the only list of public names
+    for info in pkgutil.iter_modules(bermoments.__path__):
+        assert not hasattr(importlib.import_module(f"bermoments.{info.name}"), "__all__"), info.name
 
 
 def test_unknown_name_raises_attribute_error():

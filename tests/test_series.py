@@ -218,10 +218,6 @@ def even_values_st(count: int, constant=None):
     return values.map(lambda vs: [F(constant)] + vs[1:])
 
 
-def as_series(values, order: int) -> TruncatedSeries:
-    return _even_series(order, lambda two_k: values[two_k // 2])
-
-
 def as_values(series: TruncatedSeries) -> tuple:
     return tuple(series.moment(two_k) for two_k in range(0, series.order + 1, 2))
 
@@ -232,12 +228,12 @@ class TestEvenKernel:
     @given(a=even_values_st(9), b=even_values_st(9))
     @settings(max_examples=40, deadline=None)
     def test_mul_matches_series_mul(self, a, b):
-        assert _even_mul(a, b) == as_values(as_series(a, 16) * as_series(b, 16))
+        assert _even_mul(a, b) == as_values(_even_series(a, 16) * _even_series(b, 16))
 
     @given(s=even_values_st(9, constant=0))
     @settings(max_examples=40, deadline=None)
     def test_exp_matches_series_exp(self, s):
-        assert _even_exp(s) == as_values(as_series(s, 17).exp())
+        assert _even_exp(s) == as_values(_even_series(s, 17).exp())
 
     @given(s=even_values_st(9, constant=0), cut=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
@@ -247,7 +243,7 @@ class TestEvenKernel:
     def test_symbolic_values_are_summed_term_by_term(self):
         y = MPoly.var("y")
         s = [0 * y, y, F(1, 3) * y]
-        assert _even_exp(s) == as_values(as_series(s, 4).exp())
+        assert _even_exp(s) == as_values(_even_series(s, 4).exp())
         assert _dot([2, 3], [y, F(1, 2)], [F(1, 4), y]) == 2 * y
 
     def test_rational_sum_is_reduced(self):

@@ -115,7 +115,12 @@ class TestTpqr:
         rng = random.Random(7)
         for _ in range(10):
             p, q, r = (rng.randint(2, 9) for _ in range(3))
-            assert_valid(spectrum_tpqr(TpqrParams(p, q, r)))
+            s = spectrum_tpqr(TpqrParams(p, q, r))
+            assert_valid(s)
+            # each multiplicity counts the fractions i/m that land on it
+            expected = Counter([F(0), F(1)] + [F(i, m) for m in (p, q, r) for i in range(1, m)])
+            assert dict(s.entries) == expected
+            assert s.mu == p + q + r - 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
