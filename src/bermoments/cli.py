@@ -129,11 +129,12 @@ def _add_spectrum_source(parser: argparse.ArgumentParser):
     group.add_argument("--spectrum-file", type=_parse_spectrum_file, help="path of a spectrum text file")
 
 
-def _spectrum_from_args(args) -> Spectrum:
-    from .spectra import PuiseuxData, spectrum_curve, spectrum_from_weights, spectrum_tpqr
+def _spectrum_from_args(args) -> Spectrum | WeightSystem:
+    """The spectrum the arguments name; --weights is passed on as its weight system."""
+    from .spectra import PuiseuxData, spectrum_curve, spectrum_tpqr
 
     if args.weights is not None:
-        return spectrum_from_weights(args.weights)
+        return args.weights
     if args.tpqr is not None:
         return spectrum_tpqr(args.tpqr)
     if args.puiseux is not None:
@@ -275,12 +276,12 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    from .harness import conjecture_nu
-    from .moments import bernoulli_moments, moments_of_spectrum
+    from .harness import conjecture_nu, raw_moments
+    from .moments import bernoulli_moments
 
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
-    gamma = bernoulli_moments(moments_of_spectrum(spectrum, 2 * args.kmax), nu)
+    gamma = bernoulli_moments(raw_moments(spectrum, 2 * args.kmax), nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
 

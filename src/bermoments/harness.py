@@ -9,6 +9,10 @@ Because the transform is monotone in nu (passing at some nu implies passing
 at every larger nu), the smallest admissible nu for a window of indices can
 be bracketed by exact rational bisection.
 
+The checks, the threshold search and the trace sequence take a Spectrum or
+a WeightSystem; :func:`raw_moments` gives the raw moments V of either, a
+weight system's from its closed weight product without building its spectrum.
+
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
 sum of the centered spectrum, which for a genuine singularity is the signed
@@ -24,8 +28,9 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .bernpoly import scaled_to_cosine
-from .moments import bernoulli_moments, moments_of_spectrum
+from .moments import MomentSeries, bernoulli_moments, moments_of_spectrum, moments_qh_product
 from .series import bernoulli_numbers
+from .spectra import WeightSystem, _check_weights
 
 if TYPE_CHECKING:  # annotations only
     from .spectra import Spectrum
@@ -49,7 +54,20 @@ class ConjectureReport:
         return all(ok for _, _, ok in self.rows)
 
 
-def conjecture_nu(s: Spectrum, mode: str) -> Fraction:
+def raw_moments(source: Spectrum | WeightSystem, order: int) -> MomentSeries:
+    """The raw moment series V of a spectrum, or of the spectrum of a weight system.
+
+    A weight system's V is the closed weight product, so its spectrum is never
+    built; the weights are first checked to belong to a singularity, as
+    spectrum_from_weights checks them.
+    """
+    if isinstance(source, WeightSystem):
+        _check_weights(source)
+        return moments_qh_product(source, order)
+    return moments_of_spectrum(source, order)
+
+
+def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:
     """The nu used by each conjecture: n+1 for (W), the spread for (S)."""
     if mode == "W":
         return Fraction(s.n + 1)
@@ -58,7 +76,7 @@ def conjecture_nu(s: Spectrum, mode: str) -> Fraction:
     raise ValueError("mode must be 'W' or 'S'")
 
 
-def check_conjecture(s: Spectrum, mode: str, k_max: int) -> ConjectureReport:
+def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> ConjectureReport:
     """Exact signs of (-1)^k Gamma_2k for k = 0..k_max.
 
     Mode 'W' demands strict positivity, mode 'S' allows zeros.  Exact
@@ -67,7 +85,7 @@ def check_conjecture(s: Spectrum, mode: str, k_max: int) -> ConjectureReport:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     nu = conjecture_nu(s, mode)
-    gamma = bernoulli_moments(moments_of_spectrum(s, 2 * k_max), nu)
+    gamma = bernoulli_moments(raw_moments(s, 2 * k_max), nu)
     rows = []
     for k in range(k_max + 1):
         value = gamma.moment(2 * k)
@@ -78,7 +96,7 @@ def check_conjecture(s: Spectrum, mode: str, k_max: int) -> ConjectureReport:
 
 
 def nu_threshold(
-    s: Spectrum,
+    s: Spectrum | WeightSystem,
     k: int,
     nu_hi,
     steps: int,
@@ -102,7 +120,7 @@ def nu_threshold(
     cap = k if k_cap is None else k_cap
     if cap < k:
         raise ValueError("k_cap must be >= k")
-    v = moments_of_spectrum(s, 2 * cap)
+    v = raw_moments(s, 2 * cap)
 
     def passes(nu: Fraction) -> bool:
         gamma = bernoulli_moments(v, nu)
@@ -124,7 +142,7 @@ def nu_threshold(
     return hi
 
 
-def trace_convergence(s: Spectrum, nu, k_max: int) -> list:
+def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
     """The cosine-normalized Bernoulli moments for k = 1..k_max, as floats.
 
     Entry k is (-1)^k Gamma_2k * (2pi)^2k Gamma(nu) / (2 (2k)! (2k)^(nu-1)),
@@ -136,7 +154,7 @@ def trace_convergence(s: Spectrum, nu, k_max: int) -> list:
     nu = Fraction(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    gamma = bernoulli_moments(moments_of_spectrum(s, 2 * k_max), nu)
+    gamma = bernoulli_moments(raw_moments(s, 2 * k_max), nu)
     return [
         scaled_to_cosine(gamma.moment(2 * k), k, float(nu)) for k in range(1, k_max + 1)
     ]

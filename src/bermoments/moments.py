@@ -18,6 +18,7 @@ route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,6 +33,7 @@ from .series import (
     _even_exp,
     _even_mul,
     _even_series,
+    _theta_values,
     bernoulli_numbers,
 )
 
@@ -161,24 +163,25 @@ def _weight_product(factor_values, ws: WeightSystem, order: int) -> tuple:
     return reduce(_even_mul, (factor_values(w, order) for w in ws.weights))
 
 
-def _qh_moment_values(w: Fraction, order: int) -> tuple:
-    """Factor with Gamma-free coefficients w^2k * 2/(2k+1) * B_(2k+1)(1/(2w))."""
-    x = Fraction(1, 2 * w) - Fraction(1, 2)  # B_j(y) = A_j(y - 1/2, 1)
-    zeros = _zero_values(order + 1, 1)
-
-    def value_at(two_k):
-        return w**two_k * Fraction(2, two_k + 1) * _from_zero_values(two_k + 1, x, zeros)
-
-    return tuple(map(value_at, range(0, order + 1, 2)))
-
-
 def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
     """Raw moment series of a quasihomogeneous singularity as a weight product.
 
-    One factor per weight, built from odd Bernoulli polynomial values; equals
-    moments_of_spectrum(spectrum_from_weights(ws)).
+    The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
+    (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so the product is mu times the
+    exp of one even series with values theta_2k * sum_w (w^2k - (1-w)^2k).
+    Its cost grows with the order and the number of distinct weights, not
+    with the spectrum.  Equals moments_of_spectrum(spectrum_from_weights(ws)).
     """
-    return MomentSeries.from_values(_weight_product(_qh_moment_values, ws, order), order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    theta = _theta_values(order // 2 + 1)
+    counts = Counter(ws.weights)
+
+    def exponent_at(k):
+        return theta[k] * sum(m * (w ** (2 * k) - (1 - w) ** (2 * k)) for w, m in counts.items())
+
+    values = _even_exp([exponent_at(k) for k in range(order // 2 + 1)])
+    return MomentSeries.from_values((ws.mu * v for v in values), order)
 
 
 def _gamma_weight_values(w, order: int) -> tuple:

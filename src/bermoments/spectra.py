@@ -279,27 +279,48 @@ def _binomial_quotient(steps, denom: int) -> list:
     return quot
 
 
+def _nonnegative(coeffs: list) -> list:
+    """The coefficients of a generating function, refused if one is negative."""
+    if any(c < 0 for c in coeffs):
+        raise ValueError("generating function produced a negative coefficient")
+    return coeffs
+
+
 def _entries_from_dense(coeffs: list, denom: int):
-    entries = []
-    for e, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if c < 0:
-            raise ValueError("generating function produced a negative coefficient")
-        entries.append((Fraction(e, denom) - 1, Fraction(c)))
-    return entries
+    return [(Fraction(e, denom) - 1, Fraction(c)) for e, c in enumerate(coeffs) if c]
+
+
+def _weight_quotient(ws: WeightSystem) -> tuple:
+    """(D, coefficients) of prod (T^w_i - T)/(1 - T^w_i) as a polynomial in S = T^(1/D).
+
+    D is the lcm of the weight denominators.  A division remainder or a
+    negative coefficient means the weights do not belong to a singularity.
+    """
+    denom = math.lcm(*(w.denominator for w in ws.weights))
+    quot = _binomial_quotient([int(w * denom) for w in ws.weights], denom)
+    return denom, _nonnegative(quot)
+
+
+def _check_weights(ws: WeightSystem) -> None:
+    """Refuse the weights that spectrum_from_weights refuses, without the spectrum.
+
+    A unit weight 1/m contributes the polynomial S^a + S^2a + ... + S^(D-a),
+    a = D/m, so unit weights always pass and only the size cap is checked;
+    other weights are expanded.
+    """
+    if all(w.numerator == 1 for w in ws.weights):
+        _dense_length(len(ws.weights), math.lcm(*(w.denominator for w in ws.weights)))
+    else:
+        _weight_quotient(ws)
 
 
 def spectrum_from_weights(ws: WeightSystem) -> Spectrum:
     """Spectrum of the quasihomogeneous singularity with the given weights.
 
-    Expands prod (T^w_i - T)/(1 - T^w_i) exactly as a polynomial in
-    S = T^(1/D), D the lcm of the weight denominators; the exponents of the
-    result, shifted down by 1, are the spectral numbers.  A division
-    remainder means the weights do not belong to a singularity.
+    The exponents of the expanded generating function (see
+    :func:`_weight_quotient`), shifted down by 1, are the spectral numbers.
     """
-    denom = math.lcm(*(w.denominator for w in ws.weights))
-    quot = _binomial_quotient([int(w * denom) for w in ws.weights], denom)
+    denom, quot = _weight_quotient(ws)
     return Spectrum(ws.n, tuple(_entries_from_dense(quot, denom)))
 
 
@@ -327,7 +348,7 @@ def spectrum_curve(data: PuiseuxData) -> Spectrum:
     for sign, m1, m2 in terms:
         for e, c in enumerate(_binomial_quotient((denom // m1, denom // m2), denom)):
             total[e] += sign * c
-    return Spectrum(1, tuple(_entries_from_dense(total, denom)))
+    return Spectrum(1, tuple(_entries_from_dense(_nonnegative(total), denom)))
 
 
 def thom_sebastiani(a: Spectrum, b: Spectrum) -> Spectrum:

@@ -32,3 +32,14 @@ def random_positive_fraction(rng: random.Random, max_num: int = 9, max_den: int 
 def random_brieskorn_weights(rng: random.Random, count: int, max_m: int = 6) -> WeightSystem:
     """Weights of a Brieskorn singularity x_0^m_0 + ... ; always realizable."""
     return WeightSystem(tuple(Fraction(1, rng.randint(2, max_m)) for _ in range(count)))
+
+
+# realizable weight systems, unit and non-unit, shared by the closed-form
+# and command-line oracles
+FIXED_SYSTEMS = [
+    WeightSystem((Fraction(1, 2),)),
+    WeightSystem((Fraction(1, 3), Fraction(1, 2))),
+    WeightSystem((Fraction(1, 5), Fraction(1, 4), Fraction(1, 3))),
+    WeightSystem((Fraction(4, 15), Fraction(1, 5))),
+    WeightSystem((Fraction(2, 5), Fraction(1, 5), Fraction(1, 2))),
+]

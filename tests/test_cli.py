@@ -24,6 +24,10 @@ from bermoments.cli import (
     main,
 )
 
+from bermoments import WeightSystem
+
+from helpers import FIXED_SYSTEMS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -159,6 +163,50 @@ def test_nu_threshold(capsys):
     assert F(1, 3) <= estimate <= F(1, 3) + F(1, 2**20)
 
 
+def test_weights_never_build_the_spectrum(capsys, monkeypatch):
+    # V of a weight system is the closed weight product: neither a Spectrum
+    # nor a power sum over spectral numbers is formed
+    from bermoments import moments, spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the --weights route built a spectrum")
+
+    monkeypatch.setattr(spectra, "Spectrum", refuse)
+    monkeypatch.setattr(moments, "_exp_sum", refuse)
+    for command, mode in (("gamma", "S"), ("check", "W")):
+        argv = (command, "--weights", "1/3,1/5,1/7", "--mode", mode, "--kmax", "10")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and len(out.splitlines()) >= 11
+
+
+ORACLE_COMMANDS = [
+    ("gamma", "--mode", "S", "--kmax", "12"),
+    ("gamma", "--nu", "5/2", "--kmax", "12"),
+    ("check", "--mode", "W", "--kmax", "12"),
+    ("check", "--mode", "S", "--kmax", "12"),
+    ("trace", "--nu", "3/2", "--kmax", "12"),
+    ("nu-threshold", "--k", "1", "--nu-hi", "4", "--steps", "12", "--k-cap", "6"),
+]
+
+
+@pytest.mark.parametrize(
+    "ws",
+    FIXED_SYSTEMS
+    + [WeightSystem((F(2, 5), F(1, 5))), WeightSystem((F(1, 3), F(1, 3), F(1, 5)))],
+    ids=lambda ws: ",".join(map(str, ws.weights)),
+)
+def test_weights_print_what_their_spectrum_file_prints(tmp_path, capsys, ws):
+    # the closed product against the spectrum's power sums, byte for byte
+    weights = ",".join(map(str, ws.weights))
+    code, text, _ = run(capsys, "spectrum", "qh", "--weights", weights)
+    assert code == 0
+    path = tmp_path / "qh.spectrum"
+    path.write_text(text)
+    for command, *rest in ORACLE_COMMANDS:
+        by_weights = run(capsys, command, "--weights", weights, *rest)
+        assert by_weights[1] and by_weights == run(capsys, command, "--spectrum-file", str(path), *rest)
+
+
 def test_manifold_chi(capsys):
     code, out, _ = run(capsys, "manifold", "--chi", "2,20,2", "--nu", "2", "--kmax", "2")
     assert code == 0
@@ -230,6 +278,20 @@ BELOW_LEAST = [
 ]
 
 
+# weights that leave a division remainder: every command refuses them as
+# spectrum qh does, though only spectrum qh builds their spectrum
+UNREALIZABLE = [
+    (command, "--weights", weights, *rest)
+    for weights in ("2/5,1/3", "3/7,2/9,1/2")
+    for command, *rest in (
+        ("gamma", "--mode", "S", "--kmax", "2"),
+        ("check", "--mode", "W", "--kmax", "2"),
+        ("trace", "--nu", "1", "--kmax", "2"),
+        ("nu-threshold", "--k", "1", "--nu-hi", "2", "--steps", "4"),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -281,7 +343,8 @@ BELOW_LEAST = [
     ]
     + BELOW_LEAST
     # an empty --builtin is a source of its own, not a missing one
-    + [("manifold", "chern", "--builtin", "", "--nu", "1", "--kmax", "2")],
+    + [("manifold", "chern", "--builtin", "", "--nu", "1", "--kmax", "2")]
+    + UNREALIZABLE,
 )
 def test_input_errors_are_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -289,6 +352,9 @@ def test_input_errors_are_one_line(capsys, argv):
     if argv in BELOW_LEAST:
         # refused as parsed, before any spectrum is built, naming the option
         assert f"argument {argv[-2]}: {argv[-1]} is below the least value" in err
+    if argv in UNREALIZABLE:
+        _, _, spectrum_err = run(capsys, "spectrum", "qh", "--weights", argv[2])
+        assert "remainder" in err and err == spectrum_err
 
 
 @pytest.mark.parametrize(

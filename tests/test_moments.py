@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bermoments import (
     ChiVector,
     MomentSeries,
+    PuiseuxData,
     TruncatedSeries,
     WeightSystem,
     abstract_spectrum,
@@ -31,6 +32,7 @@ from bermoments import (
     q_exponent_poly,
     q_factor_series,
     sinhc_half,
+    spectrum_curve,
     spectrum_from_weights,
     spectrum_tpqr,
     theta_series,
@@ -38,18 +40,11 @@ from bermoments import (
     TpqrParams,
 )
 from bermoments.polynomials import MPoly
+from bermoments.series import _even_mul
 
-from helpers import lagrange_value, random_brieskorn_weights, random_fraction
+from helpers import FIXED_SYSTEMS, lagrange_value, random_brieskorn_weights, random_fraction
 
 CUSP = WeightSystem((F(1, 3), F(1, 2)))
-
-FIXED_SYSTEMS = [
-    WeightSystem((F(1, 2),)),
-    CUSP,
-    WeightSystem((F(1, 5), F(1, 4), F(1, 3))),
-    WeightSystem((F(4, 15), F(1, 5))),
-    WeightSystem((F(2, 5), F(1, 5), F(1, 2))),
-]
 
 
 def even_moment_series(rng: random.Random, order: int) -> MomentSeries:
@@ -201,12 +196,33 @@ class TestQuasihomogeneousClosedForms:
         assert series.moment(0) == 2
         # a single half weight collapses to the constant series
         assert moments_qh_product(WeightSystem((F(1, 2),)), 8).series == TruncatedSeries.one(8)
+        with pytest.raises(ValueError, match="order"):
+            moments_qh_product(WeightSystem((F(1, 3),)), -1)
+
+    def test_weight_factor_is_an_odd_bernoulli_value(self):
+        # the paper's factor of one weight: w^2k * 2/(2k+1) * B_(2k+1)(1/(2w))
+        for w in (F(1, 2), F(1, 3), F(2, 5), F(4, 15), F(1, 7)):
+            values = moments_qh_product(WeightSystem((w,)), 30).values
+            for k, value in enumerate(values):
+                odd = generalized_bernoulli_value(2 * k + 1, 1, 1 / (2 * w))
+                assert value == w ** (2 * k) * F(2, 2 * k + 1) * odd
 
     def test_matches_spectrum_route(self):
         for ws in FIXED_SYSTEMS:
             direct = moments_of_spectrum(spectrum_from_weights(ws), 20)
             closed = moments_qh_product(ws, 20)
             assert closed.series == direct.series
+
+    @given(
+        counts=st.dictionaries(st.integers(2, 7), st.integers(1, 9), min_size=1, max_size=3),
+        block=st.sampled_from([(), (F(4, 15), F(1, 5)), (F(2, 5), F(1, 5))]),
+        order=st.integers(0, 60),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_weights_match_spectrum_route(self, counts, block, order):
+        # each unit weight 1/m repeated 1-9 times, joined with a non-unit block
+        ws = WeightSystem(tuple(F(1, m) for m, count in counts.items() for _ in range(count)) + block)
+        assert moments_qh_product(ws, order) == moments_of_spectrum(spectrum_from_weights(ws), order)
 
     def test_gamma_product_at_dimension_plus_one(self):
         for ws in FIXED_SYSTEMS:
@@ -246,6 +262,43 @@ class TestQuasihomogeneousClosedForms:
             )
             assert closed.moment(4) == quartic
             assert closed.moment(6) == sextic
+
+
+class TestCurveBlockOracle:
+    """V of a plane curve branch as the signed Eisenbud-Neumann sum of block products.
+
+    Each term multiplies the moment series of the geometric blocks 1/m1 and
+    1/m2, so the curve's moments come without its spectrum.
+    """
+
+    @staticmethod
+    def terms(data: PuiseuxData) -> list:
+        w, np = (None,) + data.w, data.nprime
+        terms = [(1, np[0], w[1] * np[1])]
+        for k in range(1, data.g):
+            terms += [(1, w[k + 1] * np[k + 1], np[k]), (-1, w[k] * np[k - 1], np[k])]
+        return terms
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [((2, 3), (2, 7)), ((2, 5), (2, 23)), ((3, 7), (2, 43)), ((2, 3), (3, 19), (2, 115))],
+    )
+    def test_signed_block_products_match_the_spectrum(self, pairs):
+        data, order = PuiseuxData(pairs), 24
+
+        def block(m):
+            return moments_qh_product(WeightSystem((F(1, m),)), order).values
+
+        total = [F(0)] * (order // 2 + 1)
+        for sign, m1, m2 in self.terms(data):
+            for i, value in enumerate(_even_mul(block(m1), block(m2))):
+                total[i] += sign * value
+        s = spectrum_curve(data)
+        assert tuple(total) == moments_of_spectrum(s, order).values
+        # alpha_min is the log canonical threshold 1/n'_0 + 1/(r_1 n'_1), minus 1
+        np, r1 = data.nprime, pairs[0][1]
+        lowest = min(F(1, m1) + F(1, m2) - 1 for sign, m1, m2 in self.terms(data) if sign > 0)
+        assert s.alpha_min == lowest == F(1, np[0]) + F(1, r1 * np[1]) - 1
 
 
 class TestQFactor:
