@@ -25,15 +25,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
 
 from .bernpoly import scaled_to_cosine
 from .moments import MomentSeries, bernoulli_moments, moments_of_spectrum, moments_qh_product
 from .series import bernoulli_numbers
-from .spectra import WeightSystem, _check_weights
-
-if TYPE_CHECKING:  # annotations only
-    from .spectra import Spectrum
+from .spectra import Spectrum, WeightSystem, _weight_quotient
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ def raw_moments(source: Spectrum | WeightSystem, order: int) -> MomentSeries:
     spectrum_from_weights checks them.
     """
     if isinstance(source, WeightSystem):
-        _check_weights(source)
+        _weight_quotient(source)
         return moments_qh_product(source, order)
     return moments_of_spectrum(source, order)
 

@@ -249,30 +249,13 @@ def _dot(weights, xs, ys):
     return Fraction(total, common)
 
 
-def _over_common(values) -> tuple:
-    """(L, [v * L for v in values]) with L the lcm of the denominators of the rationals."""
-    common = lcm(*(v.denominator for v in values))
-    return common, [v.numerator * (common // v.denominator) for v in values]
-
-
 def _even_mul(a, b) -> tuple:
     """Product of two even series given by factorial-normalized values.
 
     a[k] and b[k] are the coefficients at t^2k times (2k)!, of equal length;
-    so is the result c_2k = sum_j C(2k, 2j) a_2j b_(2k-2j).  Rational values
-    are first written over one common denominator per series, so that each
-    c_2k is an integer sum over the product of the two: no per-coefficient
-    lcm is formed.
+    so is the result c_2k = sum_j C(2k, 2j) a_2j b_(2k-2j).
     """
-    if not isinstance(a[0], (int, Fraction)) or not isinstance(b[0], (int, Fraction)):
-        return tuple(_dot(_binomial_row(2 * k)[::2], a[: k + 1], b[k::-1]) for k in range(len(a)))
-    den_a, num_a = _over_common(a)
-    den_b, num_b = _over_common(b)
-    den = den_a * den_b
-    return tuple(
-        Fraction(sum(c * x * y for c, x, y in zip(_binomial_row(2 * k)[::2], num_a, num_b[k::-1])), den)
-        for k in range(len(a))
-    )
+    return tuple(_dot(_binomial_row(2 * k)[::2], a[: k + 1], b[k::-1]) for k in range(len(a)))
 
 
 def _even_exp(s) -> tuple:

@@ -301,19 +301,6 @@ def _weight_quotient(ws: WeightSystem) -> tuple:
     return denom, _nonnegative(quot)
 
 
-def _check_weights(ws: WeightSystem) -> None:
-    """Refuse the weights that spectrum_from_weights refuses, without the spectrum.
-
-    A unit weight 1/m contributes the polynomial S^a + S^2a + ... + S^(D-a),
-    a = D/m, so unit weights always pass and only the size cap is checked;
-    other weights are expanded.
-    """
-    if all(w.numerator == 1 for w in ws.weights):
-        _dense_length(len(ws.weights), math.lcm(*(w.denominator for w in ws.weights)))
-    else:
-        _weight_quotient(ws)
-
-
 def spectrum_from_weights(ws: WeightSystem) -> Spectrum:
     """Spectrum of the quasihomogeneous singularity with the given weights.
 
