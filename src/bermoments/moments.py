@@ -104,10 +104,11 @@ class MomentSeries:
 
 
 def _exp_sum(pairs, order: int) -> MomentSeries:
-    """The series sum_i m_i exp(a_i t) over pairs (a_i, m_i) symmetric about 0.
+    """The even part of sum_i m_i exp(a_i t) over pairs (a_i, m_i).
 
-    Only the even power sums sum_i m_i a_i^2k are formed; the odd ones cancel
-    by the symmetry that Spectrum and ChiVector check when they are built.
+    Only the even power sums sum_i m_i a_i^2k are formed.  For a spectrum or
+    a chi vector, whose pairs Spectrum and ChiVector check to be symmetric
+    about 0, the odd ones cancel and this is the whole series.
     The a_i and m_i are written over common denominators, so each power sum
     runs over integers.
     """
@@ -158,11 +159,6 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
 # -- closed forms for quasihomogeneous singularities ---------------------------
 
 
-def _weight_product(factor_values, ws: WeightSystem, order: int) -> tuple:
-    """Factorial-normalized values of the product of factor_values(w, order) over `ws`."""
-    return reduce(_even_mul, (factor_values(w, order) for w in ws.weights))
-
-
 def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
     """Raw moment series of a quasihomogeneous singularity as a weight product.
 
@@ -175,14 +171,13 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
     if order < 0:
         raise ValueError("order must be >= 0")
     theta = _theta_values(order // 2 + 1)
-    # One power per distinct weight: at order 512, 64 x 1/4095 sums in 0.03 s
-    # this way and in 2.2 s weight by weight.
-    counts = Counter(ws.weights)
-
-    def exponent_at(k):
-        return theta[k] * sum(m * (w ** (2 * k) - (1 - w) ** (2 * k)) for w, m in counts.items())
-
-    values = _even_exp([exponent_at(k) for k in range(order // 2 + 1)])
+    # sum_w m_w (w^2k - (1-w)^2k) is the even power sum of the signed pairs
+    # (w, m_w) and (1 - w, -m_w).  One pair per distinct weight: at order 512
+    # the power sums of 64 x 1/4095 take 0.01 s this way and 0.02 s weight by
+    # weight, of about 1.1 s for the whole product.
+    signed = [pair for w, m in Counter(ws.weights).items() for pair in ((w, m), (1 - w, -m))]
+    powers = _exp_sum(signed, order).values
+    values = _even_exp([t * p for t, p in zip(theta, powers)])
     return MomentSeries.from_values((ws.mu * v for v in values), order)
 
 
@@ -209,7 +204,7 @@ def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     coefficient has sign (-1)^k, which settles the strict sign prediction in
     the quasihomogeneous case.
     """
-    values = _weight_product(_gamma_weight_values, ws, order)
+    values = reduce(_even_mul, (_gamma_weight_values(w, order) for w in ws.weights))
     return MomentSeries.from_values(values, order, len(ws.weights))
 
 
@@ -230,11 +225,10 @@ def q_exponent_poly(k: int):
 
 def _q_factor_values(w, order: int) -> tuple:
     """Factorial-normalized values of :func:`q_factor_series`, by the even exp."""
-    bern = bernoulli_numbers(order + 1)
+    theta = _theta_values(order // 2 + 1)
     exponent = [w * 0]
-    for two_k in range(2, order + 1, 2):
-        p = 1 - 2 * w + w**two_k - (1 - w) ** two_k
-        exponent.append(Fraction(-1, two_k) * bern[two_k] * p)
+    for k in range(1, order // 2 + 1):
+        exponent.append(theta[k] * (1 - 2 * w + w ** (2 * k) - (1 - w) ** (2 * k)))
     return _even_exp(exponent)
 
 
@@ -256,7 +250,7 @@ def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     mu times the product of the Q factors of the weights; in particular the
     t^2 coefficient vanishes identically.
     """
-    values = _weight_product(_q_factor_values, ws, order)
+    values = reduce(_even_mul, (_q_factor_values(w, order) for w in ws.weights))
     return MomentSeries.from_values((ws.mu * v for v in values), order, ws.spread)
 
 

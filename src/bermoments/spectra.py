@@ -53,15 +53,6 @@ def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
     return n, records
 
 
-def _normalize_entries(entries):
-    merged: dict = {}
-    for alpha, mult in entries:
-        alpha = Fraction(alpha)
-        mult = Fraction(mult)
-        merged[alpha] = merged.get(alpha, Fraction(0)) + mult
-    return tuple(sorted(merged.items()))
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Ambient parameter n plus the sorted multiset of spectral numbers."""
@@ -70,15 +61,20 @@ class Spectrum:
     entries: tuple
 
     def __post_init__(self):
-        entries = _normalize_entries(self.entries)
+        # equal spectral numbers are merged, then the sorted entries must
+        # mirror their own reverse: alpha_i + alpha_(mu+1-i) = n - 1
+        merged: dict = {}
+        for alpha, mult in self.entries:
+            alpha = Fraction(alpha)
+            merged[alpha] = merged.get(alpha, 0) + Fraction(mult)
+        entries = tuple(sorted(merged.items()))
         if not entries:
             raise ValueError("a spectrum needs at least one spectral number")
         for alpha, mult in entries:
             if mult <= 0:
                 raise ValueError(f"multiplicity of {alpha} must be positive")
-        lookup = dict(entries)
-        for alpha, mult in entries:
-            if lookup.get(self.n - 1 - alpha) != mult:
+        for (alpha, mult), (beta, other) in zip(entries, reversed(entries)):
+            if alpha + beta != self.n - 1 or mult != other:
                 raise ValueError(
                     f"spectrum is not symmetric about {Fraction(self.n - 1, 2)}: "
                     f"alpha = {alpha}"
@@ -287,7 +283,7 @@ def _nonnegative(coeffs: list) -> list:
 
 
 def _entries_from_dense(coeffs: list, denom: int):
-    return [(Fraction(e, denom) - 1, Fraction(c)) for e, c in enumerate(coeffs) if c]
+    return [(Fraction(e - denom, denom), c) for e, c in enumerate(coeffs) if c]
 
 
 def _weight_quotient(ws: WeightSystem) -> tuple:

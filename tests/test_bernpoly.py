@@ -1,5 +1,6 @@
 """Generalized Bernoulli polynomials: values, identities, asymptotics."""
 
+import math
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -198,6 +199,18 @@ class TestAsymptotics:
     def test_odd_normalization_vanishes_at_zero(self):
         for k in (3, 10, 25):
             assert sin_scaled_value(k, 0, 2) == 0.0
+
+    @pytest.mark.parametrize("nu", [F(-1, 2), F(-3, 2)])
+    def test_negative_nu_takes_the_sign_of_gamma(self, nu):
+        # Gamma(-1/2) < 0 < Gamma(-3/2): the log-domain scaling keeps the sign
+        for k, x in ((1, 0), (2, F(1, 3)), (3, F(1, 4))):
+            exact = centered_bernoulli_value(2 * k, x, nu)
+            plain = (
+                (-1) ** k * float(exact) * (2 * math.pi) ** (2 * k) * math.gamma(nu)
+                / (2 * factorial(2 * k) * (2 * k) ** (float(nu) - 1))
+            )
+            assert exact != 0
+            assert cos_scaled_value(k, x, nu) == pytest.approx(plain, rel=1e-12)
 
     def test_nonpositive_integer_nu_rejected(self):
         for bad in (0, -1, -3):

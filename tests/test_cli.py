@@ -166,13 +166,15 @@ def test_nu_threshold(capsys):
 def test_weights_never_build_the_spectrum(capsys, monkeypatch):
     # V of a weight system is the closed weight product: neither a Spectrum
     # nor a power sum over spectral numbers is formed
-    from bermoments import moments, spectra
+    from bermoments import harness, moments, spectra
 
     def refuse(*args, **kwargs):
         raise AssertionError("the --weights route built a spectrum")
 
     monkeypatch.setattr(spectra, "Spectrum", refuse)
-    monkeypatch.setattr(moments, "_exp_sum", refuse)
+    # harness binds the power sum at import, so both names are patched
+    monkeypatch.setattr(moments, "moments_of_spectrum", refuse)
+    monkeypatch.setattr(harness, "moments_of_spectrum", refuse)
     for command, mode in (("gamma", "S"), ("check", "W")):
         argv = (command, "--weights", "1/3,1/5,1/7", "--mode", mode, "--kmax", "10")
         code, out, err = run(capsys, *argv)

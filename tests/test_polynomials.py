@@ -30,6 +30,14 @@ def test_construction_and_terms():
     assert p.degree("x") == 2 and p.degree("y") == 1 and p.degree("z") == 0
 
 
+def test_str_writes_signs_and_constants():
+    assert str(MPoly.from_terms([])) == "0"
+    assert str(MPoly.from_terms([((), F(-2, 3))])) == "-2/3"
+    assert str(x - 1) == "-1 + x"
+    assert str(1 - x * y) == "1 - x*y"
+    assert str(F(3, 2) * x**2 - 2 * y) == "-2*y + 3/2*x^2"
+
+
 def test_zero_terms_are_dropped():
     p = x - x
     assert p.is_zero

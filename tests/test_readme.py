@@ -1,0 +1,46 @@
+"""The README's examples run as written."""
+
+import re
+import shlex
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from bermoments.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def section(title: str) -> str:
+    """The README text from the heading `## title` to the next `## ` heading."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def fenced(text: str, language: str = "") -> list:
+    """The bodies of the fenced code blocks of `text` opened with ```language."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.M | re.S)
+    return [body for opener, body in blocks if opener == language]
+
+
+def test_library_quick_start_prints_its_comments():
+    (code,) = fenced(section("Library quick start"), "python")
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().split() == ["1/18", "0", "True"]
+
+
+def test_every_command_line_exits_zero(tmp_path, monkeypatch, capsys):
+    text = section("Command line")
+    (commands,), (spectrum_file, chern_file) = fenced(text, "sh"), fenced(text)
+    assert spectrum_file.startswith("n 1\nalpha") and chern_file.startswith("n 2\npartition")
+    (tmp_path / "cusp.spectrum").write_text(spectrum_file)
+    (tmp_path / "X.chern").write_text(chern_file)
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in commands.splitlines() if line.startswith("bermoments ")]
+    assert len(lines) == 15
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and out, line

@@ -50,6 +50,13 @@ class TestArithmetic:
         b = TruncatedSeries.from_coeffs([1, -1], order=2)
         assert a * b == TruncatedSeries.from_coeffs([1, 0, -1], order=2)
 
+    def test_scalar_times_series_from_both_sides(self):
+        a = TruncatedSeries.from_coeffs([1, F(-1, 2), 3], order=3)
+        expected = TruncatedSeries.from_coeffs([F(2, 3), F(-1, 3), 2], order=3)
+        assert a * F(2, 3) == expected
+        assert F(2, 3) * a == expected
+        assert 2 * a == a * 2 == a + a
+
     def test_mul_identity(self):
         a = TruncatedSeries.from_coeffs([F(3, 5), 0, 7, F(2, 9)], order=6)
         assert a * TruncatedSeries.one(6) == a

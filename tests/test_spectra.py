@@ -20,6 +20,7 @@ from bermoments import (
     spectrum_tpqr,
     thom_sebastiani,
 )
+from bermoments.spectra import _nonnegative
 
 
 brieskorn_st = st.lists(st.integers(2, 6), min_size=1, max_size=4).map(
@@ -62,6 +63,11 @@ class TestWeightSystems:
         for weights in [(F(2, 5), F(1, 3)), (F(3, 7), F(2, 9), F(1, 2))]:
             with pytest.raises(ValueError, match="remainder|inexact"):
                 spectrum_from_weights(WeightSystem(weights))
+
+    def test_negative_coefficient_refused(self):
+        assert _nonnegative([1, 0, 2]) == [1, 0, 2]
+        with pytest.raises(ValueError, match="negative coefficient"):
+            _nonnegative([1, -1, 1])
 
     @given(denoms=st.lists(st.integers(2, 12), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
@@ -244,6 +250,69 @@ class TestAbstractSpectra:
     def test_positive_multiplicity_required(self):
         with pytest.raises(ValueError, match="positive"):
             abstract_spectrum(1, ((F(0), 0),))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_check_matches_mirror_lookup(self, data):
+        # unsorted entry lists with repeats, in mixed input types, some made
+        # asymmetric, non-positive or out of range; Spectrum must keep or
+        # refuse each one as the merge-then-look-up-each-mirror check does
+        n = data.draw(st.integers(0, 3), label="n")
+        small = st.fractions(min_value=0, max_value=F(3, 2), max_denominator=12)
+        mults = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+        entries = []
+        for d, m in data.draw(st.lists(st.tuples(small, mults), max_size=5), label="pairs"):
+            entries += [(F(n - 1, 2) - d, m), (F(n - 1, 2) + d, m)]
+        defect = data.draw(st.sampled_from(["none", "asymmetric", "nonpositive"]))
+        if defect == "asymmetric":
+            entries.append((data.draw(st.fractions(-1, 3, max_denominator=12)), data.draw(mults)))
+        elif defect == "nonpositive":
+            mult = data.draw(st.fractions(-2, 0, max_denominator=4))
+            alpha = entries[0][0] if entries and data.draw(st.booleans()) else F(n - 1, 2)
+            entries.append((alpha, mult))
+        split = []
+        for alpha, mult in entries:
+            part = data.draw(st.sampled_from([0, F(1, 2), 1]))
+            split += [(alpha, mult - part), (alpha, part)] if part else [(alpha, mult)]
+        shuffled = data.draw(st.permutations(split))
+
+        def as_input(value):
+            form = data.draw(st.sampled_from([F, str, int]))
+            return F(value) if form is int and value.denominator != 1 else form(value)
+
+        given_entries = tuple((as_input(alpha), as_input(mult)) for alpha, mult in shuffled)
+        try:
+            expected = mirror_lookup_check(n, given_entries)
+        except ValueError as refusal:
+            with pytest.raises(ValueError) as caught:
+                Spectrum(n, given_entries)
+            # same wording; the symmetry refusal may name another alpha
+            assert str(caught.value).split(": alpha")[0] == str(refusal).split(": alpha")[0]
+        else:
+            got = Spectrum(n, given_entries).entries
+            assert got == expected
+            assert all(type(v) is F for entry in got for v in entry)
+
+
+def mirror_lookup_check(n, entries):
+    """The former Spectrum check: merge, sort, then look up n - 1 - alpha of each entry."""
+    merged = {}
+    for alpha, mult in entries:
+        alpha = F(alpha)
+        merged[alpha] = merged.get(alpha, F(0)) + F(mult)
+    entries = tuple(sorted(merged.items()))
+    if not entries:
+        raise ValueError("a spectrum needs at least one spectral number")
+    for alpha, mult in entries:
+        if mult <= 0:
+            raise ValueError(f"multiplicity of {alpha} must be positive")
+    lookup = dict(entries)
+    for alpha, mult in entries:
+        if lookup.get(n - 1 - alpha) != mult:
+            raise ValueError(f"spectrum is not symmetric about {F(n - 1, 2)}: alpha = {alpha}")
+    if not (-1 < entries[0][0] and entries[-1][0] < n):
+        raise ValueError("spectral numbers must lie strictly between -1 and n")
+    return entries
 
 
 class TestTextFormat:
