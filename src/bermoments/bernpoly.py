@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 from math import comb
 
-from .polynomials import MPoly
 from .series import _dot, _even_exp, _theta_values
 
 X = "x"
@@ -55,6 +54,8 @@ def _from_zero_values(k: int, x, zeros):
 
 def centered_bernoulli_at_zero(k: int) -> MPoly:
     """A_k(0, nu) as a polynomial in nu (zero for odd k)."""
+    from .polynomials import MPoly  # here, so that numeric callers never load it
+
     zeros = _zero_values(k, MPoly.var(NU))
     return zeros[-1] if k % 2 == 0 else zeros[0] * 0
 
@@ -65,6 +66,8 @@ def centered_bernoulli_poly(k: int) -> MPoly:
     Assembled from the symbolic x = 0 values via the binomial expansion of
     e^(x*t), as in :func:`centered_bernoulli_value`.
     """
+    from .polynomials import MPoly
+
     return _from_zero_values(k, MPoly.var(X), _zero_values(k, MPoly.var(NU)))
 
 
@@ -198,6 +201,8 @@ def verify_multiplication_formula(k: int, nu: int, shift: int = 0) -> bool:
         raise ValueError("need integer nu >= 1 and k >= nu")
     if not 0 <= shift <= nu - 1:
         raise ValueError("shift must lie in 0..nu-1")
+    from .polynomials import MPoly
+
     x = MPoly.var(X)
     lhs = centered_bernoulli_poly(k).subs({NU: nu})
     rhs = MPoly()

@@ -265,7 +265,10 @@ def _builtin(spec: str, pn, k3, genus):
     if name == "k3" and not sep:
         return k3()
     if name == "genus":
-        return genus(int(arg))
+        g = int(arg)
+        if g < 0:
+            raise ValueError("genus must be >= 0")
+        return genus(g)
     raise ValueError(f"unknown builtin manifold {spec!r}")
 
 

@@ -22,17 +22,17 @@ monodromy trace, namely 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._record import record
 from .bernpoly import scaled_to_cosine
 from .moments import MomentSeries, bernoulli_moments, moments_of_spectrum, moments_qh_product
 from .series import bernoulli_numbers
 from .spectra import Spectrum, WeightSystem, _weight_quotient
 
 
-@dataclass(frozen=True)
+@record
 class ConjectureReport:
     """Per-index verdicts of a sign-conjecture check."""
 

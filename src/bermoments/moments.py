@@ -19,12 +19,12 @@ route.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import TYPE_CHECKING, Optional
 
+from ._record import record
 from .bernpoly import _from_zero_values, _zero_values
 from .series import (
     DEFAULT_ORDER,
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spect
     from .spectra import Spectrum, TpqrParams, WeightSystem
 
 
-@dataclass(frozen=True, init=False)
+@record
 class MomentSeries:
     """An even exact series of moments, kept as its factorial-normalized values.
 
@@ -271,7 +271,7 @@ def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentS
 # -- compact complex manifolds ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ChiVector:
     """The signed Euler characteristics (chi_0, ..., chi_n) of a manifold."""
 

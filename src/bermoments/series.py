@@ -24,10 +24,11 @@ engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable
+
+from ._record import record
 
 Rational = Fraction
 
@@ -43,7 +44,7 @@ def _coeff(value):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedSeries:
     """A power series truncated after t**order, with exact coefficients."""
 

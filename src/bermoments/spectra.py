@@ -21,11 +21,11 @@ Constructors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 from . import _fraction
+from ._record import record
 
 
 def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
@@ -53,7 +53,7 @@ def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
     return n, records
 
 
-@dataclass(frozen=True)
+@record
 class Spectrum:
     """Ambient parameter n plus the sorted multiset of spectral numbers."""
 
@@ -119,7 +119,7 @@ class Spectrum:
         return cls(n, tuple((_fraction(alpha), mult) for alpha, mult in records))
 
 
-@dataclass(frozen=True)
+@record
 class WeightSystem:
     """Normalized weights of a quasihomogeneous singularity."""
 
@@ -152,7 +152,7 @@ class WeightSystem:
         return sum((1 - 2 * w for w in self.weights), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class TpqrParams:
     """Parameters of the surface singularity family T_{p,q,r}."""
 
@@ -173,7 +173,7 @@ class TpqrParams:
         return self.p + self.q + self.r - 1
 
 
-@dataclass(frozen=True)
+@record
 class PuiseuxData:
     """Puiseux pairs (n_i, r_i) of an irreducible plane curve branch."""
 

@@ -365,6 +365,11 @@ class TestChernData:
         with pytest.raises(ValueError, match="k3"):
             builtin_chern_data("k3:5")
 
+    @pytest.mark.parametrize("builder", [builtin_chern_data, builtin_chi_vector])
+    def test_negative_genus_is_refused(self, builder):
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            builder("genus:-3")
+
 
 class TestManifoldValues:
     def test_projective_plane_variance(self):

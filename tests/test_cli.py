@@ -342,6 +342,7 @@ UNREALIZABLE = [
         # more weights than the cap, each of them small
         ("gamma", "--weights", ",".join(["1/2"] * (MAX_WEIGHTS + 1)), "--nu", "1", "--kmax", "2"),
         ("manifold", "chern", "--builtin", "k3:5", "--nu", "1", "--kmax", "2"),
+        ("manifold", "chern", "--builtin", "genus:-3", "--nu", "1", "--kmax", "3"),
     ]
     + BELOW_LEAST
     # an empty --builtin is a source of its own, not a missing one

@@ -48,15 +48,18 @@ EXPORTS = {
     ),
 }
 
-# runs main(argv) in a fresh interpreter; prints its exit code and the
-# bermoments modules it left loaded
+# runs main(argv) in a fresh interpreter; prints its exit code and the modules
+# it loaded: those of bermoments, and the start-up-heavy standard modules that
+# no command needs
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
+before = set(sys.modules)
 from bermoments.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bermoments")]))
+watched = ("bermoments", "dataclasses", "inspect")
+print(json.dumps([code, sorted(m for m in set(sys.modules) - before if m.split(".")[0] in watched)]))
 """
 
 
@@ -85,13 +88,44 @@ def test_manifold_chern_loads_no_moment_module():
     loaded = loaded_after("manifold", "chern", "--builtin", "pn:2", "--nu", "2", "--kmax", "3")
     assert "chern" in loaded
     assert not loaded & {"moments", "bernpoly", "harness", "spectra"}
-    assert loaded == {"bermoments", "cli", "chern", "series"}
+    assert loaded == {"bermoments", "cli", "_record", "chern", "series"}
 
 
 @pytest.mark.parametrize("values", [(), ("--x", "1/3", "--nu", "5/2")])
 def test_apoly_loads_only_the_polynomial_modules(values):
     loaded = loaded_after("apoly", "--k", "5", *values)
-    assert loaded == {"bermoments", "cli", "bernpoly", "series", "polynomials"}
+    # only the symbolic form builds an MPoly
+    symbolic = set() if values else {"polynomials"}
+    assert loaded == {"bermoments", "cli", "_record", "bernpoly", "series"} | symbolic
+
+
+NUMERIC = [
+    ("gamma", "--tpqr", "4,5,7", "--mode", "S", "--kmax", "2"),
+    ("check", "--weights", "1/3,1/5", "--mode", "W", "--kmax", "3"),
+    ("trace", "--puiseux", "2:3", "--nu", "2", "--kmax", "3"),
+    ("nu-threshold", "--tpqr", "2,3,7", "--k", "1", "--nu-hi", "2", "--steps", "4"),
+    ("manifold", "--chi=1,1,1", "--nu", "2", "--kmax", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC)
+def test_numeric_commands_load_no_polynomials(argv):
+    assert "polynomials" not in loaded_after(*argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("spectrum", "qh", "--weights", "1/3,1/5"),
+        ("manifold", "chern", "--builtin", "genus:2", "--nu", "1", "--kmax", "2"),
+        ("apoly", "--k", "5"),
+        ("apoly", "--k", "5", "--x", "1/3", "--nu", "5/2"),
+    ]
+    + NUMERIC,
+)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    assert not loaded_after(*argv) & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])

@@ -1,0 +1,111 @@
+"""The frozen value records: construction, equality, hashing, repr, immutability
+and pickling, each as ``@dataclass(frozen=True)`` gave them."""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from bermoments import (
+    ChiVector,
+    ConjectureReport,
+    MomentSeries,
+    PuiseuxData,
+    Spectrum,
+    TpqrParams,
+    TruncatedSeries,
+    WeightSystem,
+)
+
+# (class, constructor arguments by keyword, the repr of that instance, the
+# arguments of an instance that differs in one field)
+CASES = [
+    (
+        Spectrum,
+        {"n": 2, "entries": ((F(2, 3), 1), (F(1, 3), 1))},
+        "Spectrum(n=2, entries=((Fraction(1, 3), Fraction(1, 1)), (Fraction(2, 3), Fraction(1, 1))))",
+        {"n": 2, "entries": ((F(1, 2), 2),)},
+    ),
+    (
+        WeightSystem,
+        {"weights": (F(1, 3), F(1, 2))},
+        "WeightSystem(weights=(Fraction(1, 3), Fraction(1, 2)))",
+        {"weights": (F(1, 3), F(1, 3))},
+    ),
+    (TpqrParams, {"p": 2, "q": 3, "r": 7}, "TpqrParams(p=2, q=3, r=7)", {"p": 2, "q": 3, "r": 8}),
+    (PuiseuxData, {"pairs": ((2, 3),)}, "PuiseuxData(pairs=((2, 3),))", {"pairs": ((2, 5),)}),
+    (
+        MomentSeries,
+        {"series": TruncatedSeries((2, 0, F(1, 18))), "nu": None},
+        "MomentSeries(values=(Fraction(2, 1), Fraction(1, 9)), order=2, nu=None)",
+        {"series": TruncatedSeries((2, 0, F(1, 18))), "nu": 1},
+    ),
+    (ChiVector, {"chi": (1, -1, 1)}, "ChiVector(chi=(1, -1, 1))", {"chi": (1, 0, 1)}),
+    (
+        TruncatedSeries,
+        {"coeffs": (1, 0, F(1, 2))},
+        "TruncatedSeries(coeffs=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 2)))",
+        {"coeffs": (1, 0, F(1, 3))},
+    ),
+    (
+        ConjectureReport,
+        {"mode": "W", "nu": F(3), "k_max": 1, "rows": ((1, F(-1, 12), True),)},
+        "ConjectureReport(mode='W', nu=Fraction(3, 1), k_max=1, rows=((1, Fraction(-1, 12), True),))",
+        {"mode": "S", "nu": F(3), "k_max": 1, "rows": ((1, F(-1, 12), True),)},
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[case[0].__name__ for case in CASES])
+def test_record_behaves_as_a_frozen_dataclass(index):
+    cls, kwargs, text, differing = CASES[index]
+    record = cls(**kwargs)
+    same = cls(*kwargs.values())
+    assert record == same and hash(record) == hash(same)
+    assert not record != same
+    assert record != cls(**differing)
+    other_cls, other_kwargs = CASES[index - 1][:2]
+    assert record != other_cls(**other_kwargs)
+    assert record.__eq__(object()) is NotImplemented
+    assert repr(record) == text
+    field = cls.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    assert record == same
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    with pytest.raises(TypeError):
+        cls(*kwargs.values(), None)
+    with pytest.raises(TypeError):
+        cls(**kwargs, no_such_field=1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Spectrum(0, ()),
+        lambda: WeightSystem(()),
+        lambda: TpqrParams(1, 3, 7),
+        lambda: PuiseuxData(()),
+        lambda: MomentSeries(TruncatedSeries((1, 1))),
+        lambda: ChiVector(()),
+        lambda: TruncatedSeries(()),
+        lambda: ConjectureReport("X", F(1), 1, ()),
+    ],
+    ids=[case[0].__name__ for case in CASES],
+)
+def test_record_validation_still_runs(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_missing_field_is_a_type_error():
+    with pytest.raises(TypeError, match="'entries'"):
+        Spectrum(n=2)
+    with pytest.raises(TypeError, match="multiple values for argument 'n'"):
+        Spectrum(2, ((F(1, 2), 1),), n=2)
