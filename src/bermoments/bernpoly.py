@@ -34,11 +34,34 @@ def _zero_values(k: int, nu) -> tuple:
 
     They are the factorial-normalized values of exp(nu * theta); a lower
     k's table is a prefix.  A rational nu gives exact values, and
-    nu = MPoly.var(NU) values that are polynomials in nu.
+    nu = MPoly.var(NU) values that are polynomials in nu.  A rational
+    nu = p/q is run as :func:`_scaled_zero_values` and divided by q^j only
+    at the end.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _even_exp([nu * v for v in _theta_values(k // 2 + 1)])
+    p, q = (nu.numerator, nu.denominator) if isinstance(nu, (int, Fraction)) else (nu, 1)
+    scaled = _scaled_zero_values(k, p, q)
+    if q == 1:
+        return scaled
+    return tuple(v / q**j for j, v in enumerate(scaled))
+
+
+def _scaled_zero_values(k: int, p, q: int) -> tuple:
+    """q^j A_2j(0, p/q) for 2j <= k, with q >= 1 an integer.
+
+    The exp recurrence of :func:`_even_exp` is homogeneous: scaling the
+    exponent's value j by q^j scales the result's value j by q^j.  So the
+    table is the exp of p q^(j-1) theta_2j, whose denominators come from
+    theta alone and never from q.  A symbolic nu is p = nu, q = 1.
+    """
+    theta = _theta_values(k // 2 + 1)
+    exponent = [p * theta[0]]
+    power = p
+    for value in theta[1:]:
+        exponent.append(power * value)
+        power = power * q
+    return _even_exp(exponent)
 
 
 def _from_zero_values(k: int, x, zeros):

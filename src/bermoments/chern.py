@@ -252,9 +252,15 @@ def chern_data_k3() -> ChernData:
     return ChernData(2, {(2,): Fraction(24), (1, 1): Fraction(0)})
 
 
+def _genus(g: int) -> int:
+    if g < 0:
+        raise ValueError("genus must be >= 0")
+    return g
+
+
 def chern_data_genus(g: int) -> ChernData:
-    """A compact Riemann surface of genus g: integral of c_1 = 2 - 2g."""
-    return ChernData(1, {(1,): Fraction(2 - 2 * g)})
+    """A compact Riemann surface of genus g >= 0: integral of c_1 = 2 - 2g."""
+    return ChernData(1, {(1,): Fraction(2 - 2 * _genus(g))})
 
 
 def _builtin(spec: str, pn, k3, genus):
@@ -265,10 +271,7 @@ def _builtin(spec: str, pn, k3, genus):
     if name == "k3" and not sep:
         return k3()
     if name == "genus":
-        g = int(arg)
-        if g < 0:
-            raise ValueError("genus must be >= 0")
-        return genus(g)
+        return genus(_genus(int(arg)))
     raise ValueError(f"unknown builtin manifold {spec!r}")
 
 

@@ -18,18 +18,18 @@ route.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import TYPE_CHECKING, Optional
 
 from ._record import record
-from .bernpoly import _from_zero_values, _zero_values
+from .bernpoly import _from_zero_values, _scaled_zero_values, _zero_values
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
+    _binomial_row,
     _coeff,
+    _dot,
     _even_exp,
     _even_mul,
     _even_series,
@@ -37,6 +37,7 @@ from .series import (
     bernoulli_numbers,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra
     from .spectra import Spectrum, TpqrParams, WeightSystem
 
@@ -52,7 +53,7 @@ class MomentSeries:
 
     values: tuple
     order: int
-    nu: Optional[Fraction]
+    nu: Fraction | None
 
     def __init__(self, series: TruncatedSeries, nu=None):
         if not series.is_even():
@@ -110,18 +111,36 @@ def _exp_sum(pairs, order: int) -> MomentSeries:
     a chi vector, whose pairs Spectrum and ChiVector check to be symmetric
     about 0, the odd ones cancel and this is the whole series.
     The a_i and m_i are written over common denominators, so each power sum
-    runs over integers.
+    runs over integers: V_2k = N_k / (unit * sigma^k) with sigma = scale^2.
+    The series keeps that integer form for :func:`bernoulli_moments`.
     """
     pairs = [(Fraction(a), Fraction(m)) for a, m in pairs]
     scale = lcm(*(a.denominator for a, _ in pairs))
     unit = lcm(*(m.denominator for _, m in pairs))
     squares = [(a * scale).numerator ** 2 for a, _ in pairs]
     terms = [(m * unit).numerator for _, m in pairs]
-    values = []
-    for two_k in range(0, order + 1, 2):
-        values.append(Fraction(sum(terms), unit * scale**two_k))
+    sums = []
+    for _ in range(0, order + 1, 2):
+        sums.append(sum(terms))
         terms = [term * square for term, square in zip(terms, squares)]
-    return MomentSeries.from_values(values, order)
+    sigma = scale**2
+    values = [Fraction(n, unit * sigma**k) for k, n in enumerate(sums)]
+    series = MomentSeries.from_values(values, order)
+    object.__setattr__(series, "_integers", (tuple(sums), unit, sigma))
+    return series
+
+
+def _integer_form(v: MomentSeries) -> tuple:
+    """(N, unit, sigma) with v.values[k] = N[k] / (unit * sigma^k), N integers.
+
+    The form :func:`_exp_sum` kept, or else sigma = 1 over the lcm of the
+    denominators.  It is not a field, so it plays no part in equality.
+    """
+    form = getattr(v, "_integers", None)
+    if form is None:
+        unit = lcm(*(value.denominator for value in v.values))
+        form = (tuple(value.numerator * (unit // value.denominator) for value in v.values), unit, 1)
+    return form
 
 
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -132,13 +151,36 @@ def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
     """Gamma(V, nu) = V * exp(nu * theta); v must be a raw moment series.
 
-    Runs on factorial-normalized values: Gamma_2k = sum_j C(2k, 2j)
-    V_(2k-2j) A_2j(0, nu), where A_2j(0, nu) are the values of exp(nu * theta).
+    Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu), where A_2j(0, nu) are
+    the values of exp(nu * theta).  It is summed in integers as far as it
+    can be: with V_2k = N_k / (unit * sigma^k) (:func:`_integer_form`),
+    nu = p/q and e_j = q^j A_2j(0, nu) (:func:`_scaled_zero_values`),
+
+        unit (sigma q)^k Gamma_2k = sum_j C(2k, 2j) (q^(k-j) N_(k-j)) (sigma^j e_j),
+
+    so the common denominator of each row comes from theta alone, never from
+    sigma, unit or q.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
     """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
     nu = Fraction(nu)
-    return MomentSeries.from_values(_even_mul(v.values, _zero_values(v.order, nu)), v.order, nu)
+    q = nu.denominator
+    sums, unit, sigma = _integer_form(v)
+    table = list(_scaled_zero_values(v.order, nu.numerator, q))
+    if sigma != 1:
+        power = 1
+        for j in range(1, len(table)):  # in place: no second table is held
+            power *= sigma
+            table[j] *= power
+    if q != 1:
+        sums = [n * q**i for i, n in enumerate(sums)]
+    values = []
+    denominator = unit
+    for k in range(len(table)):
+        row = _dot(_binomial_row(2 * k)[::2], sums[k::-1], table[: k + 1])
+        values.append(row / denominator)
+        denominator *= sigma * q
+    return MomentSeries.from_values(values, v.order, nu)
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
@@ -165,17 +207,15 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
     The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
     (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so the product is mu times the
     exp of one even series with values theta_2k * sum_w (w^2k - (1-w)^2k).
-    Its cost grows with the order and the number of distinct weights, not
+    Its cost grows with the order and the number of weights, not
     with the spectrum.  Equals moments_of_spectrum(spectrum_from_weights(ws)).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     theta = _theta_values(order // 2 + 1)
-    # sum_w m_w (w^2k - (1-w)^2k) is the even power sum of the signed pairs
-    # (w, m_w) and (1 - w, -m_w).  One pair per distinct weight: at order 512
-    # the power sums of 64 x 1/4095 take 0.01 s this way and 0.02 s weight by
-    # weight, of about 1.1 s for the whole product.
-    signed = [pair for w, m in Counter(ws.weights).items() for pair in ((w, m), (1 - w, -m))]
+    # sum_w (w^2k - (1-w)^2k) is the even power sum of the signed pairs
+    # (w, 1) and (1 - w, -1), one of each per weight
+    signed = [pair for w in ws.weights for pair in ((w, 1), (1 - w, -1))]
     powers = _exp_sum(signed, order).values
     values = _even_exp([t * p for t, p in zip(theta, powers)])
     return MomentSeries.from_values((ws.mu * v for v in values), order)

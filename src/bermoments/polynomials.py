@@ -12,8 +12,8 @@ with ``int`` and ``Fraction`` scalars.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 Monomial = tuple
 

@@ -24,9 +24,9 @@ engine.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable
 
 from ._record import record
 
@@ -197,27 +197,47 @@ _BERNOULLI = (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
 def _bernoulli(count: int) -> tuple:
     """B_0 .. B_{count-1} from the one growing table.
 
-    The recursion 0 = sum_{j<=m} C(m+1, j) B_j runs over even m only: the odd
-    values beyond B_1 vanish and are stored as 0, and the j = 0, 1 terms
-    contribute 1 - (m+1)/2.  The table is extended into a new tuple, so a
-    returned slice never changes.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
+    and the odd values beyond B_1 vanish and are stored as 0.  The table
+    grows to at least twice its length, so callers that ask for one more
+    entry at a time rebuild the tangent numbers only logarithmically often.
+    It is extended into a new tuple, so a returned slice never changes.
     """
     global _BERNOULLI
     if count > len(_BERNOULLI):
         table = list(_BERNOULLI)
-        for m in range(len(table), count):
+        size = max(count, 2 * len(table))
+        tangent = _tangent_numbers((size - 1) // 2)
+        for m in range(len(table), size):
             if m % 2:
                 table.append(Fraction(0))
             else:
-                row = _binomial_row(m + 1)
-                terms = _dot(row[2 : m - 1 : 2], table[2 : m - 1 : 2], [1] * (m // 2 - 1))
-                table.append(-(terms + Fraction(1 - m, 2)) / (m + 1))
+                k = m // 2
+                four = 4**k
+                table.append(Fraction((-1) ** (k - 1) * m * tangent[k - 1], four * (four - 1)))
         _BERNOULLI = tuple(table)
     return _BERNOULLI[:count]
 
 
+def _tangent_numbers(n: int) -> list:
+    """The tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), in integers.
+
+    Brent and Harvey's in-place recurrence ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2011): T_k = (k-1) T_(k-1), then each pass
+    k = 2..n sets T_j = (j-k) T_(j-1) + (j-k+2) T_j for j = k..n.  Every
+    step multiplies by a small integer, so no fraction is ever formed.
+    """
+    tangent = [1] * n
+    for k in range(1, n):
+        tangent[k] = k * tangent[k - 1]
+    for k in range(1, n):
+        for j in range(k, n):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tangent
+
+
 def bernoulli_numbers(count: int) -> list:
-    """B_0 .. B_{count-1} as exact fractions, via the binomial recursion.
+    """B_0 .. B_{count-1} as exact fractions, from the tangent numbers.
 
     Convention B_1 = -1/2; all odd values beyond B_1 vanish.
     """
@@ -227,11 +247,11 @@ def bernoulli_numbers(count: int) -> list:
 
 
 def _binomial_row(n: int) -> list:
-    """C(n, 0), C(n, 1), ..., C(n, n)."""
+    """C(n, 0), C(n, 1), ..., C(n, n); the second half mirrors the first."""
     row = [1]
-    for i in range(n):
+    for i in range(n // 2):
         row.append(row[-1] * (n - i) // (i + 1))
-    return row
+    return row + row[: n - n // 2][::-1]
 
 
 def _dot(weights, xs, ys):

@@ -273,6 +273,17 @@ class TestZeroValues:
         expected = tuple(expanded.moment(two_k) for two_k in range(0, order + 1, 2))
         assert _zero_values(order, nu_value) == expected
 
+    @given(
+        nu_value=st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+        order=st.integers(0, 24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_large_denominators_match_series_exp(self, nu_value, order):
+        # nu = p/q runs as q^j A_2j(0, p/q), divided by q^j at the end
+        expanded = theta_series(order).scale(nu_value).exp()
+        expected = tuple(expanded.moment(two_k) for two_k in range(0, order + 1, 2))
+        assert _zero_values(order, nu_value) == expected
+
     def test_symbolic_nu_matches_series_exp(self):
         expanded = theta_series(16).scale(nu).exp()
         zeros = _zero_values(16, nu)

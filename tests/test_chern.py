@@ -370,6 +370,12 @@ class TestChernData:
         with pytest.raises(ValueError, match="genus must be >= 0"):
             builder("genus:-3")
 
+    def test_negative_genus_is_refused_by_the_library(self):
+        # no curve of genus -3 exists, so it has no moments to return
+        with pytest.raises(ValueError, match="genus must be >= 0"):
+            chern_data_genus(-3)
+        assert bernoulli_moments_from_chern(chern_data_genus(0), 1, 2) == [2, F(1, 3), F(-1, 15)]
+
 
 class TestManifoldValues:
     def test_projective_plane_variance(self):

@@ -63,12 +63,16 @@ print(json.dumps([code, sorted(m for m in set(sys.modules) - before if m.split("
 """
 
 
-def loaded_after(*argv) -> set:
+def run_python(*args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def loaded_after(*argv) -> set:
+    result = run_python("-c", PROBE, *argv)
     code, modules = json.loads(result.stdout)
     assert code == 0, result.stderr
     return {name.removeprefix("bermoments.") for name in modules}
@@ -126,6 +130,23 @@ def test_numeric_commands_load_no_polynomials(argv):
 )
 def test_no_command_loads_dataclasses_or_inspect(argv):
     assert not loaded_after(*argv) & {"dataclasses", "inspect"}
+
+
+# a numeric and a symbolic command in one interpreter started without site,
+# whose .pth files may import typing on their own
+NO_SITE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from bermoments.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(["gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "3"]), main(["apoly", "--k", "4"])]
+print(json.dumps([codes, "typing" in sys.modules]))
+"""
+
+
+def test_no_command_loads_typing():
+    # every annotation is a string, so no module imports typing to write one
+    assert json.loads(run_python("-S", "-c", NO_SITE).stdout) == [[0, 0], False]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])

@@ -39,6 +39,7 @@ from bermoments import (
     thom_sebastiani,
     TpqrParams,
 )
+from bermoments.bernpoly import _zero_values
 from bermoments.polynomials import MPoly
 from bermoments.series import _even_mul
 
@@ -535,6 +536,30 @@ def chi_vectors(draw):
     return ChiVector(tuple(half + middle + half[::-1]))
 
 
+@st.composite
+def weight_products(draw):
+    weight = st.fractions(min_value=F(1, 60), max_value=F(1, 2), max_denominator=60)
+    return WeightSystem(tuple(draw(st.lists(weight, min_size=1, max_size=3))))
+
+
+@st.composite
+def raw_series(draw):
+    """Raw moment series of abstract spectra, chi vectors and weight products."""
+    order = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(("spectrum", "chi", "weights")))
+    if kind == "spectrum":
+        return moments_of_spectrum(draw(small_spectra()), order)
+    if kind == "chi":
+        return moments_of_chi(draw(chi_vectors()), order)
+    return moments_qh_product(draw(weight_products()), order)
+
+
+LARGE_NUS = st.one_of(
+    NUS,
+    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
 def t_series_transform(v: MomentSeries, nu) -> TruncatedSeries:
     """The t-series route: V(t) * exp(nu * theta(t)) in plain Taylor coefficients."""
     return v.series * theta_series(v.order).scale(nu).exp()
@@ -561,6 +586,19 @@ class TestEvenValueTransform:
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         a, b = (even_moment_series(rng, order) for _ in range(2))
         assert (a * b).series == a.series * b.series
+
+    @given(v=raw_series(), nu=LARGE_NUS)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_transform_matches_both_oracles(self, v, nu):
+        # the transform runs on N_k, sigma and q = nu.denominator in integers;
+        # it must give what the rational multiply and the t-series give
+        gamma = bernoulli_moments(v, nu)
+        assert gamma.values == _even_mul(v.values, _zero_values(v.order, nu))
+        assert gamma.series == t_series_transform(v, nu)
+        # the integer form is no field: a series rebuilt from its values is equal
+        rebuilt = MomentSeries.from_values(v.values, v.order)
+        assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
+        assert bernoulli_moments(rebuilt, nu) == gamma
 
     def test_values_are_the_factorial_normalized_coefficients(self):
         v = moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), 9)

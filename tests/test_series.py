@@ -17,8 +17,9 @@ from bermoments import (
     sinhc_half,
     theta_series,
 )
+from bermoments import series
 from bermoments.polynomials import MPoly
-from bermoments.series import _dot, _even_exp, _even_mul, _even_series
+from bermoments.series import _bernoulli, _dot, _even_exp, _even_mul, _even_series
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -256,6 +257,35 @@ class TestEvenKernel:
     def test_rational_sum_is_reduced(self):
         total = _dot([1, 1, 6], [F(1, 6), F(1, 3), F(1, 4)], [1, F(1, 2), F(1, 3)])
         assert total == F(1, 6) + F(1, 6) + F(1, 2) and total.denominator == 6
+
+
+def binomial_recursion_bernoulli(count: int) -> list:
+    """B_0 .. B_{count-1} from 0 = sum_{j<=m} C(m+1, j) B_j, over the even j only."""
+    table = [F(1), F(-1, 2)]
+    for m in range(2, count):
+        if m % 2:
+            table.append(F(0))
+        else:
+            terms = sum(comb(m + 1, j) * table[j] for j in range(2, m, 2))
+            table.append(-(terms + 1 - F(m + 1, 2)) / (m + 1))
+    return table[:count]
+
+
+class TestBernoulliTable:
+    """The tangent-number table against the binomial recursion, its oracle."""
+
+    def test_matches_the_binomial_recursion(self):
+        assert list(_bernoulli(513)) == binomial_recursion_bernoulli(513)
+
+    def test_grows_entry_by_entry_and_keeps_returned_slices(self, monkeypatch):
+        monkeypatch.setattr(series, "_BERNOULLI", (F(1), F(-1, 2), F(1, 6)))
+        expected = binomial_recursion_bernoulli(100)
+        before = _bernoulli(7)
+        for count in range(1, 101):
+            assert _bernoulli(count) == tuple(expected[:count])
+        assert len(series._BERNOULLI) <= 2 * 100
+        # a slice is a tuple of its own: growing the table leaves it as it was
+        assert before == tuple(expected[:7]) and type(before) is tuple
 
 
 def test_every_cache_is_bounded():
