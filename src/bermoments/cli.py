@@ -276,12 +276,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    from .harness import conjecture_nu, raw_moments
-    from .moments import bernoulli_moments
+    from .harness import conjecture_nu, gamma_of
 
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
-    gamma = bernoulli_moments(raw_moments(spectrum, 2 * args.kmax), nu)
+    gamma = gamma_of(spectrum, 2 * args.kmax)(nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
 

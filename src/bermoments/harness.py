@@ -10,8 +10,8 @@ at every larger nu), the smallest admissible nu for a window of indices can
 be bracketed by exact rational bisection.
 
 The checks, the threshold search and the trace sequence take a Spectrum or
-a WeightSystem; :func:`raw_moments` gives the raw moments V of either, a
-weight system's from its closed weight product without building its spectrum.
+a WeightSystem; :func:`gamma_of` gives nu -> Gamma(V, nu) of either, a
+weight system's as one exp of its weight product without building its spectrum.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
@@ -27,7 +27,7 @@ from math import comb
 
 from ._record import record
 from .bernpoly import scaled_to_cosine
-from .moments import MomentSeries, bernoulli_moments, moments_of_spectrum, moments_qh_product
+from .moments import bernoulli_moments, moments_of_spectrum, moments_qh_product
 from .series import bernoulli_numbers
 from .spectra import Spectrum, WeightSystem, _weight_quotient
 
@@ -50,17 +50,18 @@ class ConjectureReport:
         return all(ok for _, _, ok in self.rows)
 
 
-def raw_moments(source: Spectrum | WeightSystem, order: int) -> MomentSeries:
-    """The raw moment series V of a spectrum, or of the spectrum of a weight system.
+def gamma_of(source: Spectrum | WeightSystem, order: int):
+    """nu -> Gamma(V, nu) to `order` of a spectrum, or of a weight system's spectrum.
 
-    A weight system's V is the closed weight product, so its spectrum is never
-    built; the weights are first checked to belong to a singularity, as
-    spectrum_from_weights checks them.
+    A weight system is checked once to belong to a singularity, as
+    spectrum_from_weights checks it; each Gamma is then one exp of its weight
+    product.  A spectrum's power sums are run once, then transformed per nu.
     """
     if isinstance(source, WeightSystem):
         _weight_quotient(source)
-        return moments_qh_product(source, order)
-    return moments_of_spectrum(source, order)
+        return lambda nu: moments_qh_product(source, order, nu)
+    v = moments_of_spectrum(source, order)
+    return lambda nu: bernoulli_moments(v, nu)
 
 
 def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:
@@ -81,7 +82,7 @@ def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> Conje
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     nu = conjecture_nu(s, mode)
-    gamma = bernoulli_moments(raw_moments(s, 2 * k_max), nu)
+    gamma = gamma_of(s, 2 * k_max)(nu)
     rows = []
     for k in range(k_max + 1):
         value = gamma.moment(2 * k)
@@ -116,10 +117,10 @@ def nu_threshold(
     cap = k if k_cap is None else k_cap
     if cap < k:
         raise ValueError("k_cap must be >= k")
-    v = raw_moments(s, 2 * cap)
+    gamma_at = gamma_of(s, 2 * cap)
 
     def passes(nu: Fraction) -> bool:
-        gamma = bernoulli_moments(v, nu)
+        gamma = gamma_at(nu)
         return all(
             (-1) ** kk * gamma.moment(2 * kk) >= 0 for kk in range(k, cap + 1)
         )
@@ -148,12 +149,22 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     nu = Fraction(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    gamma = bernoulli_moments(raw_moments(s, 2 * k_max), nu)
-    return [
-        scaled_to_cosine(gamma.moment(2 * k), k, float(nu)) for k in range(1, k_max + 1)
-    ]
+    # the scaling runs in floats: refuse a nu they cannot hold before the
+    # exact transform, which can take minutes
+    try:
+        x = float(nu)
+    except OverflowError:
+        x = math.inf
+    if not 0 < x < math.inf:
+        raise ValueError(f"nu must be a positive number within the float range, not {nu}")
+    gamma = gamma_of(s, 2 * k_max)(nu)
+    rows = []
+    for k in range(1, k_max + 1):
+        try:
+            rows.append(scaled_to_cosine(gamma.moment(2 * k), k, x))
+        except OverflowError:
+            raise OverflowError(f"the trace value at k = {k} overflows a float at nu = {nu}") from None
+    return rows
 
 
 def trace_limit(s: Spectrum) -> float:

@@ -112,7 +112,7 @@ def _exp_sum(pairs, order: int) -> MomentSeries:
     about 0, the odd ones cancel and this is the whole series.
     The a_i and m_i are written over common denominators, so each power sum
     runs over integers: V_2k = N_k / (unit * sigma^k) with sigma = scale^2.
-    The series keeps that integer form for :func:`bernoulli_moments`.
+    The series keeps that integer form, which is no field, for the transforms.
     """
     pairs = [(Fraction(a), Fraction(m)) for a, m in pairs]
     scale = lcm(*(a.denominator for a, _ in pairs))
@@ -130,19 +130,6 @@ def _exp_sum(pairs, order: int) -> MomentSeries:
     return series
 
 
-def _integer_form(v: MomentSeries) -> tuple:
-    """(N, unit, sigma) with v.values[k] = N[k] / (unit * sigma^k), N integers.
-
-    The form :func:`_exp_sum` kept, or else sigma = 1 over the lcm of the
-    denominators.  It is not a field, so it plays no part in equality.
-    """
-    form = getattr(v, "_integers", None)
-    if form is None:
-        unit = lcm(*(value.denominator for value in v.values))
-        form = (tuple(value.numerator * (unit // value.denominator) for value in v.values), unit, 1)
-    return form
-
-
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_i m_i exp(t*(alpha_i - (n-1)/2)); even by symmetry."""
     return _exp_sum(s.centered(), order)
@@ -153,19 +140,20 @@ def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
 
     Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu), where A_2j(0, nu) are
     the values of exp(nu * theta).  It is summed in integers as far as it
-    can be: with V_2k = N_k / (unit * sigma^k) (:func:`_integer_form`),
+    can be: with V_2k = N_k / (unit * sigma^k) (kept by :func:`_exp_sum`),
     nu = p/q and e_j = q^j A_2j(0, nu) (:func:`_scaled_zero_values`),
 
         unit (sigma q)^k Gamma_2k = sum_j C(2k, 2j) (q^(k-j) N_(k-j)) (sigma^j e_j),
 
     so the common denominator of each row comes from theta alone, never from
-    sigma, unit or q.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
+    sigma, unit or q.  Any other raw series is read as N_k = V_2k with
+    unit = sigma = 1.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
     """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
     nu = Fraction(nu)
     q = nu.denominator
-    sums, unit, sigma = _integer_form(v)
+    sums, unit, sigma = getattr(v, "_integers", None) or (v.values, 1, 1)
     table = list(_scaled_zero_values(v.order, nu.numerator, q))
     if sigma != 1:
         power = 1
@@ -201,24 +189,29 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
 # -- closed forms for quasihomogeneous singularities ---------------------------
 
 
-def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
+def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER, nu=None) -> MomentSeries:
     """Raw moment series of a quasihomogeneous singularity as a weight product.
 
     The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
-    (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so the product is mu times the
-    exp of one even series with values theta_2k * sum_w (w^2k - (1-w)^2k).
-    Its cost grows with the order and the number of weights, not
-    with the spectrum.  Equals moments_of_spectrum(spectrum_from_weights(ws)).
+    (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so V = mu exp(theta P) with
+    P_2k = N_k / sigma^k = sum_w (w^2k - (1-w)^2k), and given nu = p/q it
+    returns Gamma(V, nu) = mu exp(theta (P + nu)): the exp of
+    theta_2k q^(k-1) (q N_k + p sigma^k), value k divided by (sigma q)^k.
+    Equals moments_of_spectrum(spectrum_from_weights(ws)), transformed at nu.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    p, q = (0, 1) if nu is None else (Fraction(nu).numerator, Fraction(nu).denominator)
     theta = _theta_values(order // 2 + 1)
-    # sum_w (w^2k - (1-w)^2k) is the even power sum of the signed pairs
-    # (w, 1) and (1 - w, -1), one of each per weight
+    # P_2k is the even power sum of the signed pairs (w, 1) and (1 - w, -1),
+    # one of each per weight, so its unit is 1
     signed = [pair for w in ws.weights for pair in ((w, 1), (1 - w, -1))]
-    powers = _exp_sum(signed, order).values
-    values = _even_exp([t * p for t, p in zip(theta, powers)])
-    return MomentSeries.from_values((ws.mu * v for v in values), order)
+    sums, _, sigma = _exp_sum(signed, order)._integers
+    exponent = [theta[0]]
+    for k in range(1, len(theta)):
+        exponent.append(theta[k] * q ** (k - 1) * (q * sums[k] + p * sigma**k))
+    values = (ws.mu * e / (sigma * q) ** k for k, e in enumerate(_even_exp(exponent)))
+    return MomentSeries.from_values(values, order, nu)
 
 
 def _gamma_weight_values(w, order: int) -> tuple:

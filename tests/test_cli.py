@@ -154,6 +154,24 @@ def test_trace_format(capsys):
     assert abs(float(rows[4][1]) - 1.0) < 0.01
 
 
+@pytest.mark.parametrize(
+    "nu, says",
+    [("1e-400", "float range, not 1/1"), ("1e400", "float range, not 1000"), ("1e20", "k = 1 overflows")],
+)
+def test_trace_refuses_a_nu_beyond_the_floats(capsys, monkeypatch, nu, says):
+    # 1e-400 and 1e400 are refused before the exact transform, which takes
+    # minutes at --kmax 256; 1e20 names the row whose scaling overflows
+    from bermoments import harness
+
+    ran = []
+    gamma_of = harness.gamma_of
+    monkeypatch.setattr(harness, "gamma_of", lambda *args: ran.append(args) or gamma_of(*args))
+    code, out, err = run(capsys, "trace", "--tpqr", "2,3,7", "--nu", nu, "--kmax", "2")
+    assert_one_error_line(code, out, err)
+    assert says in err
+    assert bool(ran) == (nu == "1e20")
+
+
 def test_nu_threshold(capsys):
     code, out, _ = run(
         capsys, "nu-threshold", "--weights", "1/3,1/2", "--k", "1", "--nu-hi", "1", "--steps", "20"
@@ -164,21 +182,36 @@ def test_nu_threshold(capsys):
 
 
 def test_weights_never_build_the_spectrum(capsys, monkeypatch):
-    # V of a weight system is the closed weight product: neither a Spectrum
-    # nor a power sum over spectral numbers is formed
-    from bermoments import harness, moments, spectra
+    # Gamma of a weight system is one exp of the closed weight product per nu:
+    # no Spectrum, no power sum over spectral numbers, and neither the
+    # transform of a raw series nor its A_2j(0, nu) table is formed
+    from bermoments import bernpoly, harness, moments, spectra
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the --weights route built a spectrum")
+        raise AssertionError("the --weights route left the one-exp route")
 
-    monkeypatch.setattr(spectra, "Spectrum", refuse)
-    # harness binds the power sum at import, so both names are patched
-    monkeypatch.setattr(moments, "moments_of_spectrum", refuse)
-    monkeypatch.setattr(harness, "moments_of_spectrum", refuse)
-    for command, mode in (("gamma", "S"), ("check", "W")):
-        argv = (command, "--weights", "1/3,1/5,1/7", "--mode", mode, "--kmax", "10")
-        code, out, err = run(capsys, *argv)
-        assert code == 0 and err == "" and len(out.splitlines()) >= 11
+    originals = (
+        spectra.Spectrum,
+        moments.moments_of_spectrum,
+        moments.bernoulli_moments,
+        bernpoly._scaled_zero_values,
+    )
+    # `from .x import f` binds f in each importing module, so every binding
+    # in the package is patched
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bermoments"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    for rest, rows in (
+        (("gamma", "--mode", "S", "--kmax", "10"), 11),
+        (("check", "--mode", "W", "--kmax", "10"), 12),
+        (("trace", "--nu", "5/2", "--kmax", "10"), 10),
+        (("nu-threshold", "--k", "1", "--nu-hi", "4", "--steps", "8", "--k-cap", "6"), 1),
+    ):
+        command, *tail = rest
+        code, out, err = run(capsys, command, "--weights", "1/3,1/5,1/7", *tail)
+        assert code == 0 and err == "" and len(out.splitlines()) == rows
 
 
 ORACLE_COMMANDS = [

@@ -147,6 +147,21 @@ class TestTraceConvergence:
         with pytest.raises(ValueError):
             trace_convergence(CUSP, 1, 0)
 
+    def test_nu_beyond_the_floats_is_refused_before_the_transform(self, monkeypatch):
+        from bermoments import harness
+
+        def refuse(*args):
+            raise AssertionError("the transform ran")
+
+        monkeypatch.setattr(harness, "gamma_of", refuse)
+        for nu in (F(1, 10**400), 10**400, F(-1, 3), 0):
+            with pytest.raises(ValueError, match="float range"):
+                trace_convergence(CUSP, nu, 2)
+
+    def test_overflowing_row_names_its_k(self):
+        with pytest.raises(OverflowError, match="k = 1 "):
+            trace_convergence(CUSP, 10**20, 2)
+
 
 class TestCurveCorrectionMechanics:
     CASES = [(2, 2, 3, 13), (2, 3, 3, 19), (3, 2, 4, 25), (2, 2, 5, 21)]

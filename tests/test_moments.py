@@ -560,6 +560,23 @@ LARGE_NUS = st.one_of(
 )
 
 
+THIRTY_DIGITS = st.integers(10**29, 10**30 - 1)
+# 0, negative, and 30-digit numerator and denominator of either sign
+ONE_EXP_NUS = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=F(-1, 6), max_denominator=6),
+    st.builds(lambda p, q, sign: sign * F(p, q), THIRTY_DIGITS, THIRTY_DIGITS, st.sampled_from((1, -1))),
+)
+
+
+@st.composite
+def small_weight_systems(draw):
+    """Admissible systems of small D: unit weights 1/m, m <= 7, and a non-unit block."""
+    units = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+    block = draw(st.sampled_from([(), (F(4, 15), F(1, 5)), (F(2, 5), F(1, 5))]))
+    return WeightSystem(tuple(F(1, m) for m in units) + block)
+
+
 def t_series_transform(v: MomentSeries, nu) -> TruncatedSeries:
     """The t-series route: V(t) * exp(nu * theta(t)) in plain Taylor coefficients."""
     return v.series * theta_series(v.order).scale(nu).exp()
@@ -599,6 +616,23 @@ class TestEvenValueTransform:
         rebuilt = MomentSeries.from_values(v.values, v.order)
         assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
         assert bernoulli_moments(rebuilt, nu) == gamma
+
+    @given(ws=weight_products(), nu=ONE_EXP_NUS, order=st.integers(0, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_weight_product_gamma_is_the_transform_of_v(self, ws, nu, order):
+        # Gamma(V, nu) of a weight system is one exp; it must equal the
+        # transform of the raw product, which nu = None still returns
+        v = moments_qh_product(ws, order)
+        assert v.is_raw
+        gamma = moments_qh_product(ws, order, nu)
+        assert gamma == bernoulli_moments(v, nu)
+        assert gamma.nu == nu and gamma.order == order
+
+    @given(ws=small_weight_systems(), nu=ONE_EXP_NUS, order=st.integers(0, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_product_gamma_matches_the_spectrum_route(self, ws, nu, order):
+        direct = bernoulli_moments(moments_of_spectrum(spectrum_from_weights(ws), order), nu)
+        assert moments_qh_product(ws, order, nu) == direct
 
     def test_values_are_the_factorial_normalized_coefficients(self):
         v = moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), 9)
