@@ -11,6 +11,10 @@ polynomials are the same family in shifted coordinates,
 B_k^(nu)(x) = A_k(x - nu/2, nu); for nu = 1 one recovers the ordinary
 Bernoulli polynomials B_k(x) = A_k(x - 1/2, 1) and numbers B_k = B_k(0).
 
+The values A_2j(0, nu) come from the power recurrence of sinh(t/2)/(t/2)
+at a rational nu, and from the exp of nu * log((t/2)/sinh(t/2)) at a
+symbolic nu; the tests keep the exp as the oracle of the recurrence.
+
 Exact polynomial generation and evaluation stay in Fraction arithmetic.
 Floating point appears only in the asymptotic normalizers (which converge
 to cosine and sine waves as k grows) and in the Fourier partial sums of the
@@ -21,9 +25,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-from .series import _dot, _even_exp, _theta_values
+from .series import _binomial_row, _dot, _even_exp, _theta_values
 
 X = "x"
 NU = "nu"
@@ -32,28 +36,58 @@ NU = "nu"
 def _zero_values(k: int, nu) -> tuple:
     """A_2j(0, nu) for 2j <= k (the odd values vanish).
 
-    They are the factorial-normalized values of exp(nu * theta); a lower
-    k's table is a prefix.  A rational nu gives exact values, and
-    nu = MPoly.var(NU) values that are polynomials in nu.  A rational
-    nu = p/q is run as :func:`_scaled_zero_values` and divided by q^j only
-    at the end.
+    They are the factorial-normalized values of ((t/2)/sinh(t/2))^nu; a
+    lower k's table is a prefix.  A rational nu = p/q gives exact values from
+    :func:`_scaled_zero_values`, divided by (4q)^j only at the end, and
+    nu = MPoly.var(NU) values that are polynomials in nu, from
+    :func:`_exp_zero_values`.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    p, q = (nu.numerator, nu.denominator) if isinstance(nu, (int, Fraction)) else (nu, 1)
-    scaled = _scaled_zero_values(k, p, q)
-    if q == 1:
-        return scaled
-    return tuple(v / q**j for j, v in enumerate(scaled))
+    if not isinstance(nu, (int, Fraction)):
+        return _exp_zero_values(k, nu, 1)
+    numerators, common = _scaled_zero_values(k, nu.numerator, nu.denominator)
+    return tuple(Fraction(h, common * (4 * nu.denominator) ** j) for j, h in enumerate(numerators))
 
 
-def _scaled_zero_values(k: int, p, q: int) -> tuple:
-    """q^j A_2j(0, p/q) for 2j <= k, with q >= 1 an integer.
+def _scaled_zero_values(k: int, p: int, q: int) -> tuple:
+    """(numerators, common denominator) of h_j = (4q)^j A_2j(0, p/q) for 2j <= k.
 
-    The exp recurrence of :func:`_even_exp` is homogeneous: scaling the
-    exponent's value j by q^j scales the result's value j by q^j.  So the
-    table is the exp of p q^(j-1) theta_2j, whose denominators come from
-    theta alone and never from q.  A symbolic nu is p = nu, q = 1.
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) for
+    s^(-p/q), s = sinh(t/2)/(t/2), gives, with no Bernoulli number,
+
+        m (2m+1) h_m = sum_(j=1..m) C(2m+1, 2j+1) ((q-p) j - q m) q^(j-1) h_(m-j),
+
+    for integers p and q >= 1.  The h's are held as integer numerators over
+    the running lcm of their denominators, rescaled only when a row brings a
+    new factor, and each row is one integer sum by Horner's rule in q, so no
+    power of q multiplies a big numerator.  A lower k gives a prefix of the
+    values; :func:`_exp_zero_values` is the oracle.
+    """
+    numerators, common = [1], 1
+    for m in range(1, k // 2 + 1):
+        row = _binomial_row(2 * m + 1)
+        total = 0
+        for j in range(m, 0, -1):
+            total = total * q + row[2 * j + 1] * ((q - p) * j - q * m) * numerators[m - j]
+        divisor = m * (2 * m + 1) * common
+        g = gcd(total, divisor)
+        total, divisor = total // g, divisor // g
+        grow = divisor // gcd(common, divisor)
+        if grow > 1:
+            numerators = [h * grow for h in numerators]
+            common *= grow
+        numerators.append(total * (common // divisor))
+    return numerators, common
+
+
+def _exp_zero_values(k: int, p, q: int) -> tuple:
+    """q^j A_2j(0, p/q) for 2j <= k as the exp of p q^(j-1) theta_2j.
+
+    The exp recurrence is homogeneous (exponent value j times q^j gives
+    result value j times q^j) and runs in any ring: it is the route of a
+    symbolic nu (p = MPoly.var(NU), q = 1) and the tests' oracle of the
+    power recurrence.
     """
     theta = _theta_values(k // 2 + 1)
     exponent = [p * theta[0]]

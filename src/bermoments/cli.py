@@ -31,6 +31,22 @@ MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --fil
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
 
+# Joint caps on the bits of a rational argument (of its larger term) times its
+# order, since row k has about k times as many; checked before any series.
+MAX_NU_BITS_KMAX = 2**16  # (bits of nu) * --kmax of gamma, check, trace and manifold --chi
+MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps) * --k-cap of nu-threshold
+MAX_APOLY_BITS_K = 2**18  # (bits of --x + bits of --nu) * --k of apoly
+MAX_CHERN_BITS_KMAX = 2**13  # (bits of nu) * --kmax of manifold chern
+
+
+def _bits(value) -> int:
+    return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+
+
+def _check_bits(bits: int, size: int, what: str, cap: int):
+    if bits * size > cap:
+        raise ValueError(f"{what} = {bits} * {size} = {bits * size} is above the cap of {cap}")
+
 
 def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
@@ -247,6 +263,8 @@ def _cmd_apoly(args) -> int:
     if (args.x is None) != (args.nu is None):
         raise ValueError("apoly needs both --x and --nu, or neither")
     if args.x is not None:
+        bits = _bits(args.x) + _bits(args.nu)
+        _check_bits(bits, args.k, "(bits of --x + bits of --nu) * --k", MAX_APOLY_BITS_K)
         print(centered_bernoulli_value(args.k, args.x, args.nu))
         return 0
     poly = centered_bernoulli_poly(args.k)
@@ -275,19 +293,25 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _check_nu_bits(nu, kmax: int, cap: int = MAX_NU_BITS_KMAX):
+    _check_bits(_bits(nu), kmax, "(bits of nu) * --kmax", cap)
+
+
 def _cmd_gamma(args) -> int:
     from .harness import conjecture_nu, gamma_of
 
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
+    _check_nu_bits(nu, args.kmax)
     gamma = gamma_of(spectrum, 2 * args.kmax)(nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
 
 def _cmd_check(args) -> int:
-    from .harness import check_conjecture
+    from .harness import check_conjecture, conjecture_nu
 
     spectrum = _spectrum_from_args(args)
+    _check_nu_bits(conjecture_nu(spectrum, args.mode), args.kmax)
     report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
@@ -298,6 +322,7 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
+    _check_nu_bits(args.nu, args.kmax)
     spectrum = _spectrum_from_args(args)
     values = trace_convergence(spectrum, args.nu, args.kmax)
     for k, value in enumerate(values, start=1):
@@ -308,6 +333,9 @@ def _cmd_trace(args) -> int:
 def _cmd_nu_threshold(args) -> int:
     from .harness import nu_threshold
 
+    k_cap = args.k if args.k_cap is None else args.k_cap
+    bits = _bits(args.nu_hi) + args.steps
+    _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
     estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
     print(estimate)
@@ -330,9 +358,11 @@ def _cmd_manifold(args) -> int:
         else:
             data = args.file
             _check_chern_dimension(data.n)
+        _check_nu_bits(args.nu, args.kmax, MAX_CHERN_BITS_KMAX)
         return _print_rows(bernoulli_moments_from_chern(data, args.nu, args.kmax))
     if args.chi is None or args.nu is None or args.kmax is None:
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
+    _check_nu_bits(args.nu, args.kmax)
     from .moments import ChiVector, bernoulli_moments, moments_of_chi
 
     chi = ChiVector(tuple(int(part) for part in args.chi.split(",")))

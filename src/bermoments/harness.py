@@ -27,7 +27,7 @@ from math import comb
 
 from ._record import record
 from .bernpoly import scaled_to_cosine
-from .moments import bernoulli_moments, moments_of_spectrum, moments_qh_product
+from .moments import _qh_gamma, bernoulli_moments, moments_of_spectrum
 from .series import bernoulli_numbers
 from .spectra import Spectrum, WeightSystem, _weight_quotient
 
@@ -55,11 +55,12 @@ def gamma_of(source: Spectrum | WeightSystem, order: int):
 
     A weight system is checked once to belong to a singularity, as
     spectrum_from_weights checks it; each Gamma is then one exp of its weight
-    product.  A spectrum's power sums are run once, then transformed per nu.
+    product, whose nu-free power sums are run once.  A spectrum's power sums
+    are run once, then transformed per nu.
     """
     if isinstance(source, WeightSystem):
         _weight_quotient(source)
-        return lambda nu: moments_qh_product(source, order, nu)
+        return _qh_gamma(source, order)
     v = moments_of_spectrum(source, order)
     return lambda nu: bernoulli_moments(v, nu)
 

@@ -29,7 +29,6 @@ from .series import (
     TruncatedSeries,
     _binomial_row,
     _coeff,
-    _dot,
     _even_exp,
     _even_mul,
     _even_series,
@@ -136,38 +135,37 @@ def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries
 
 
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
-    """Gamma(V, nu) = V * exp(nu * theta); v must be a raw moment series.
+    """Gamma(V, nu) = V * ((t/2)/sinh(t/2))^nu; v must be a raw moment series.
 
-    Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu), where A_2j(0, nu) are
-    the values of exp(nu * theta).  It is summed in integers as far as it
-    can be: with V_2k = N_k / (unit * sigma^k) (kept by :func:`_exp_sum`),
-    nu = p/q and e_j = q^j A_2j(0, nu) (:func:`_scaled_zero_values`),
+    Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu).  With
+    V_2k = N_k / (unit * sigma^k) (the integer form :func:`_exp_sum` keeps),
+    nu = p/q and (4q)^j A_2j(0, nu) = H_j / L (:func:`_scaled_zero_values`),
 
-        unit (sigma q)^k Gamma_2k = sum_j C(2k, 2j) (q^(k-j) N_(k-j)) (sigma^j e_j),
+        unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j),
 
-    so the common denominator of each row comes from theta alone, never from
-    sigma, unit or q.  Any other raw series is read as N_k = V_2k with
-    unit = sigma = 1.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
+    so each row is one integer sum, by Horner's rule in 4q, and one Fraction.
+    Any other raw series is read as N_k = V_2k with unit = sigma = 1.
+    Equals _even_mul(v.values, _zero_values(v.order, nu)).
     """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
     nu = Fraction(nu)
     q = nu.denominator
     sums, unit, sigma = getattr(v, "_integers", None) or (v.values, 1, 1)
-    table = list(_scaled_zero_values(v.order, nu.numerator, q))
+    table, common = _scaled_zero_values(v.order, nu.numerator, q)
     if sigma != 1:
         power = 1
         for j in range(1, len(table)):  # in place: no second table is held
             power *= sigma
             table[j] *= power
-    if q != 1:
-        sums = [n * q**i for i, n in enumerate(sums)]
     values = []
-    denominator = unit
+    denominator, base = unit * common, 4 * q
     for k in range(len(table)):
-        row = _dot(_binomial_row(2 * k)[::2], sums[k::-1], table[: k + 1])
-        values.append(row / denominator)
-        denominator *= sigma * q
+        total = 0  # by Horner's rule in 4q, so no power of q multiplies a big N
+        for c, n, h in zip(_binomial_row(2 * k)[::2], sums[k::-1], table):
+            total = total * base + c * n * h
+        values.append(Fraction(total, denominator))
+        denominator *= base * sigma
     return MomentSeries.from_values(values, v.order, nu)
 
 
@@ -199,19 +197,28 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER, nu=None) ->
     theta_2k q^(k-1) (q N_k + p sigma^k), value k divided by (sigma q)^k.
     Equals moments_of_spectrum(spectrum_from_weights(ws)), transformed at nu.
     """
+    return _qh_gamma(ws, order)(nu)
+
+
+def _qh_gamma(ws: WeightSystem, order: int):
+    """nu -> moments_qh_product(ws, order, nu); theta and the power sums run once."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    p, q = (0, 1) if nu is None else (Fraction(nu).numerator, Fraction(nu).denominator)
     theta = _theta_values(order // 2 + 1)
     # P_2k is the even power sum of the signed pairs (w, 1) and (1 - w, -1),
     # one of each per weight, so its unit is 1
     signed = [pair for w in ws.weights for pair in ((w, 1), (1 - w, -1))]
     sums, _, sigma = _exp_sum(signed, order)._integers
-    exponent = [theta[0]]
-    for k in range(1, len(theta)):
-        exponent.append(theta[k] * q ** (k - 1) * (q * sums[k] + p * sigma**k))
-    values = (ws.mu * e / (sigma * q) ** k for k, e in enumerate(_even_exp(exponent)))
-    return MomentSeries.from_values(values, order, nu)
+
+    def gamma(nu=None) -> MomentSeries:
+        p, q = (0, 1) if nu is None else (Fraction(nu).numerator, Fraction(nu).denominator)
+        exponent = [theta[0]]
+        for k in range(1, len(theta)):
+            exponent.append(theta[k] * q ** (k - 1) * (q * sums[k] + p * sigma**k))
+        values = (ws.mu * e / (sigma * q) ** k for k, e in enumerate(_even_exp(exponent)))
+        return MomentSeries.from_values(values, order, nu)
+
+    return gamma
 
 
 def _gamma_weight_values(w, order: int) -> tuple:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bermoments import (
@@ -23,7 +23,7 @@ from bermoments import (
     theta_series,
     verify_multiplication_formula,
 )
-from bermoments.bernpoly import _zero_values
+from bermoments.bernpoly import _exp_zero_values, _scaled_zero_values, _zero_values
 from bermoments.polynomials import MPoly
 
 from helpers import random_fraction
@@ -261,7 +261,27 @@ class TestPeriodize:
 
 
 class TestZeroValues:
-    """A_2j(0, nu) from the even-value exp against TruncatedSeries.exp."""
+    """A_2j(0, nu) from the power recurrence and the even-value exp against TruncatedSeries.exp."""
+
+    @given(
+        p=st.one_of(st.just(0), st.integers(-10**30, 10**30)),
+        q=st.one_of(st.just(1), st.integers(1, 10**30)),
+        order=st.integers(0, 80),
+        cut=st.integers(0, 80),
+    )
+    @example(p=0, q=1, order=80, cut=0)
+    @example(p=-3, q=10**30, order=80, cut=41)
+    @example(p=10**30 - 1, q=7, order=80, cut=80)
+    @settings(max_examples=40, deadline=None)
+    def test_power_recurrence_matches_the_exp_route(self, p, q, order, cut):
+        # Miller's recurrence for s^(-p/q) and the exp of p q^(j-1) theta_2j
+        # give the same q^j A_2j(0, p/q); a lower order gives a prefix
+        numerators, common = _scaled_zero_values(order, p, q)
+        table = tuple(F(h, common * 4**j) for j, h in enumerate(numerators))
+        assert table == _exp_zero_values(order, p, q)
+        assert len(table) == order // 2 + 1
+        low, low_common = _scaled_zero_values(min(cut, order), p, q)
+        assert tuple(F(h, low_common * 4**j) for j, h in enumerate(low)) == table[: len(low)]
 
     @given(
         nu_value=st.fractions(min_value=-4, max_value=4, max_denominator=6),

@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bermoments.cli import (
+    MAX_APOLY_BITS_K,
     MAX_APOLY_K,
+    MAX_CHERN_BITS_KMAX,
     MAX_CHERN_DIMENSION,
     MAX_CHERN_KMAX,
     MAX_EXPONENT,
     MAX_KMAX,
+    MAX_NU_BITS_KMAX,
     MAX_ORDER,
     MAX_STEPS,
+    MAX_THRESHOLD_BITS_K,
     MAX_THRESHOLD_K,
     MAX_TPQR_MU,
     MAX_WEIGHTS,
@@ -213,6 +217,88 @@ def test_weights_never_build_the_spectrum(capsys, monkeypatch):
         code, out, err = run(capsys, command, "--weights", "1/3,1/5,1/7", *tail)
         assert code == 0 and err == "" and len(out.splitlines()) == rows
 
+
+def test_weights_power_sums_run_once_per_source(capsys, monkeypatch):
+    # every nu-threshold probe is one exp: the signed power sums of the
+    # weights are nu-free and run once for the whole bisection
+    from bermoments import moments
+
+    calls = []
+    exp_sum = moments._exp_sum
+    monkeypatch.setattr(moments, "_exp_sum", lambda *args: calls.append(args) or exp_sum(*args))
+    argv = ("--k", "1", "--nu-hi", "4", "--steps", "8", "--k-cap", "6")
+    code, out, err = run(capsys, "nu-threshold", "--weights", "1/3,1/5,1/7", *argv)
+    assert code == 0 and err == "" and len(calls) == 1
+
+
+def test_numeric_transforms_never_grow_the_bernoulli_table(capsys, monkeypatch):
+    # A_2j(0, nu) at a rational nu comes from the power recurrence of
+    # sinh(t/2)/(t/2), so no numeric command of a spectrum, a chi vector or
+    # apoly --x --nu reads a Bernoulli number; the symbolic apoly still does
+    from bermoments import series
+
+    seed = (F(1), F(-1, 2), F(1, 6))
+    monkeypatch.setattr(series, "_BERNOULLI", seed)
+    for source in (("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23")):
+        for command, *rest in (
+            ("gamma", "--nu", "5/2", "--kmax", "30"),
+            ("check", "--mode", "W", "--kmax", "30"),
+            ("trace", "--nu", "3/2", "--kmax", "20"),
+            ("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "8", "--k-cap", "8"),
+        ):
+            code, out, err = run(capsys, command, *source, *rest)
+            assert code == 0 and err == "" and out
+    for argv in (
+        ("manifold", "--chi=2,-20,2", "--nu", "7/3", "--kmax", "30"),
+        ("apoly", "--k", "60", "--x", "1/3", "--nu", "5/7"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out
+    assert series._BERNOULLI is seed
+    code, out, err = run(capsys, "apoly", "--k", "12")
+    assert code == 0 and len(series._BERNOULLI) > len(seed)
+
+
+def _with_bits(bits: int) -> str:
+    return str(2 ** (bits - 1))
+
+
+def test_joint_bit_caps_admit_their_bounds_and_refuse_one_bit_more(capsys):
+    # each product is taken to its cap at a small order, where the accepted
+    # input runs in well under a second; one more bit is refused before any
+    # series is built (trace refuses it before its check of the float range)
+    kmax = 16
+    nu_bits = MAX_NU_BITS_KMAX // kmax
+    cases = [
+        (lambda b: ("gamma", "--tpqr", "2,3,7", "--kmax", str(kmax), "--nu", "1/" + _with_bits(b)), nu_bits),
+        (lambda b: ("manifold", "--chi=1,1", "--kmax", str(kmax), "--nu", _with_bits(b)), nu_bits),
+        (lambda b: ("manifold", "chern", "--builtin", "pn:2", "--kmax", "2", "--nu", _with_bits(b)), MAX_CHERN_BITS_KMAX // 2),
+        (lambda b: ("nu-threshold", "--tpqr", "2,3,7", "--k", "1", "--steps", "64", "--k-cap", "4",
+                    "--nu-hi", _with_bits(b)), MAX_THRESHOLD_BITS_K // 4 - 64),
+        (lambda b: ("apoly", "--k", "64", "--nu", "1/3", "--x=-" + _with_bits(b)), MAX_APOLY_BITS_K // 64 - 2),
+    ]
+    for argv, bits in cases:
+        code, out, err = run(capsys, *argv(bits))
+        assert code == 0 and err == "" and out, argv(bits)[0]
+        code, out, err = run(capsys, *argv(bits + 1))
+        assert_one_error_line(code, out, err)
+        assert "is above the cap of" in err
+    code, out, err = run(capsys, "trace", "--tpqr", "2,3,7", "--kmax", str(kmax), "--nu", "1/" + _with_bits(nu_bits + 1))
+    assert_one_error_line(code, out, err)
+    assert f"(bits of nu) * --kmax = {nu_bits + 1} * {kmax}" in err
+
+
+
+def test_mode_s_spread_of_a_spectrum_file_is_capped(tmp_path, capsys):
+    # the spread is the nu of --mode S, so it is under the same joint cap
+    kmax = 16
+    x = F(1, 2 ** (MAX_NU_BITS_KMAX // kmax) + 1)
+    path = tmp_path / "wide.spectrum"
+    path.write_text(f"n 1\nalpha {-x} mult 1\nalpha {x} mult 1\n")
+    for command in ("gamma", "check"):
+        code, out, err = run(capsys, command, "--mode", "S", "--spectrum-file", str(path), "--kmax", str(kmax))
+        assert_one_error_line(code, out, err)
+        assert f"(bits of nu) * --kmax = {MAX_NU_BITS_KMAX // kmax + 1} * {kmax}" in err
 
 ORACLE_COMMANDS = [
     ("gamma", "--mode", "S", "--kmax", "12"),

@@ -617,6 +617,19 @@ class TestEvenValueTransform:
         assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
         assert bernoulli_moments(rebuilt, nu) == gamma
 
+    @given(
+        values=st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6), min_size=11, max_size=11),
+        nu=LARGE_NUS,
+        order=st.integers(0, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_raw_series_without_integer_form(self, values, nu, order):
+        # a series built from its values has no N_k, unit and sigma: its
+        # Fraction values are summed as N_k with unit = sigma = 1
+        v = MomentSeries.from_values(values[: order // 2 + 1], order)
+        assert not hasattr(v, "_integers")
+        assert bernoulli_moments(v, nu).values == _even_mul(v.values, _zero_values(order, nu))
+
     @given(ws=weight_products(), nu=ONE_EXP_NUS, order=st.integers(0, 24))
     @settings(max_examples=60, deadline=None)
     def test_weight_product_gamma_is_the_transform_of_v(self, ws, nu, order):
