@@ -15,7 +15,8 @@ The values A_2j(0, nu) come from the power recurrence of sinh(t/2)/(t/2)
 at a rational nu, and from the exp of nu * log((t/2)/sinh(t/2)) at a
 symbolic nu; the tests keep the exp as the oracle of the recurrence.
 
-Exact polynomial generation and evaluation stay in Fraction arithmetic.
+Exact polynomial generation stays in Fraction arithmetic; an exact value at
+rational x and nu is one integer sum over one denominator.
 Floating point appears only in the asymptotic normalizers (which converge
 to cosine and sine waves as k grows) and in the Fourier partial sums of the
 periodized polynomials.
@@ -132,9 +133,29 @@ def centered_bernoulli_value(k: int, x, nu) -> Fraction:
     """Exact value A_k(x, nu) at rational arguments.
 
     Evaluates through the x = 0 values at the given nu rather than through
-    the symbolic polynomial, which keeps large k cheap.
+    the symbolic polynomial, which keeps large k cheap.  With x = a/b,
+    nu = p/q and h_j = H_j / L from :func:`_scaled_zero_values`, K = k // 2,
+
+        A_k(x, nu) = a^(k mod 2) sum_j C(k, 2j) H_j (4q a^2)^(K-j) b^(2j)
+                     / (L (4q)^K b^k),
+
+    one integer sum by Horner's rule in 4q a^2 and one Fraction at the end.
+    :func:`_from_zero_values` is the oracle.
     """
-    return _from_zero_values(k, Fraction(x), _zero_values(k, Fraction(nu)))
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    a, b = Fraction(x).as_integer_ratio()
+    p, q = Fraction(nu).as_integer_ratio()
+    numerators, common = _scaled_zero_values(k, p, q)
+    row = _binomial_row(k)
+    step, square = 4 * q * a * a, b * b
+    total, power = 0, 1
+    for j, h in enumerate(numerators):
+        total = total * step + row[2 * j] * h * power
+        power *= square
+    if k % 2:
+        total *= a
+    return Fraction(total, common * (4 * q) ** (k // 2) * b**k)
 
 
 def generalized_bernoulli_value(k: int, nu, x) -> Fraction:

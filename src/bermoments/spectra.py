@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 from . import _fraction
 from ._record import record
@@ -61,27 +62,46 @@ class Spectrum:
     entries: tuple
 
     def __post_init__(self):
-        # equal spectral numbers are merged, then the sorted entries must
-        # mirror their own reverse: alpha_i + alpha_(mu+1-i) = n - 1
-        merged: dict = {}
-        for alpha, mult in self.entries:
-            alpha = Fraction(alpha)
-            merged[alpha] = merged.get(alpha, 0) + Fraction(mult)
-        entries = tuple(sorted(merged.items()))
-        if not entries:
+        # one sort by alpha (n - 1 comparisons when the input is sorted, as
+        # the dense constructors' is); equal alphas are then neighbours and
+        # merge there.  Reduced alphas a/d and b/e mirror about (n-1)/2 iff
+        # d = e and a + b = (n-1) d, so the checks compare integers and do
+        # no Fraction arithmetic per entry.
+        entries = sorted(
+            [
+                (a if type(a) is Fraction else Fraction(a), m if type(m) is Fraction else Fraction(m))
+                for a, m in self.entries
+            ],
+            key=itemgetter(0),
+        )
+        merged, ratios, last = [], [], None
+        for entry in entries:
+            ratio = entry[0].as_integer_ratio()
+            if ratio == last:
+                merged[-1] = (entry[0], merged[-1][1] + entry[1])
+            else:
+                merged.append(entry)
+                ratios.append(ratio)
+                last = ratio
+        if not merged:
             raise ValueError("a spectrum needs at least one spectral number")
-        for alpha, mult in entries:
-            if mult <= 0:
+        for alpha, mult in merged:
+            if mult.numerator <= 0:
                 raise ValueError(f"multiplicity of {alpha} must be positive")
-        for (alpha, mult), (beta, other) in zip(entries, reversed(entries)):
-            if alpha + beta != self.n - 1 or mult != other:
+        top = self.n - 1
+        # the first half meets every mirrored pair, the lower alpha first
+        half = (len(merged) + 1) // 2
+        for (a, d), (b, e), (alpha, mult), (_, other) in zip(
+            ratios[:half], reversed(ratios), merged, reversed(merged)
+        ):
+            if d != e or a + b != top * d or mult != other:
                 raise ValueError(
-                    f"spectrum is not symmetric about {Fraction(self.n - 1, 2)}: "
-                    f"alpha = {alpha}"
+                    f"spectrum is not symmetric about {Fraction(top, 2)}: alpha = {alpha}"
                 )
-        if not (-1 < entries[0][0] and entries[-1][0] < self.n):
+        (low, low_den), (high, high_den) = ratios[0], ratios[-1]
+        if not (-low_den < low and high < self.n * high_den):
             raise ValueError("spectral numbers must lie strictly between -1 and n")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(merged))
 
     @property
     def mu(self) -> Fraction:
@@ -283,7 +303,10 @@ def _nonnegative(coeffs: list) -> list:
 
 
 def _entries_from_dense(coeffs: list, denom: int):
-    return [(Fraction(e - denom, denom), c) for e, c in enumerate(coeffs) if c]
+    # one Fraction per distinct multiplicity, shared by its entries, so that
+    # Spectrum converts none of them
+    mults = {c: Fraction(c) for c in set(coeffs)}
+    return [(Fraction(e - denom, denom), mults[c]) for e, c in enumerate(coeffs) if c]
 
 
 def _weight_quotient(ws: WeightSystem) -> tuple:
@@ -341,7 +364,7 @@ def thom_sebastiani(a: Spectrum, b: Spectrum) -> Spectrum:
     the ambient parameter is n_a + n_b + 1.
     """
     # merged here, not left to Spectrum: the mu_a * mu_b pairs fall on far
-    # fewer distinct sums, and Spectrum would first convert every pair
+    # fewer distinct sums, and Spectrum would first sort every pair
     merged: dict = {}
     for alpha, ma in a.entries:
         for beta, mb in b.entries:

@@ -23,7 +23,7 @@ from bermoments import (
     theta_series,
     verify_multiplication_formula,
 )
-from bermoments.bernpoly import _exp_zero_values, _scaled_zero_values, _zero_values
+from bermoments.bernpoly import _exp_zero_values, _from_zero_values, _scaled_zero_values, _zero_values
 from bermoments.polynomials import MPoly
 
 from helpers import random_fraction
@@ -61,6 +61,18 @@ class TestGeneration:
                 assert centered_bernoulli_value(k, xv, nv) == centered_bernoulli_poly(
                     k
                 ).eval({"x": xv, "nu": nv})
+
+    @given(
+        k=st.integers(0, 80),
+        x=st.one_of(st.just(F(0)), st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30))),
+        nu=st.one_of(st.just(F(0)), st.builds(F, st.integers(-40, 40), st.integers(1, 50))),
+    )
+    # the README's apoly rows at the bits cap, at a small k
+    @example(k=9, x=F(1, 2**1021 + 1), nu=F(1, 3))
+    @example(k=10, x=F(1, 3), nu=F(1, 2**1021 + 1))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_value_route_matches_binomial_sum(self, k, x, nu):
+        assert centered_bernoulli_value(k, x, nu) == _from_zero_values(k, x, _zero_values(k, nu))
 
     def test_point_values(self):
         assert centered_bernoulli_value(2, F(1, 2), 3) == 0

@@ -254,44 +254,97 @@ class TestAbstractSpectra:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_pass_check_matches_mirror_lookup(self, data):
-        # unsorted entry lists with repeats, in mixed input types, some made
-        # asymmetric, non-positive or out of range; Spectrum must keep or
-        # refuse each one as the merge-then-look-up-each-mirror check does
+        # unsorted entry lists with repeats, in mixed input types (exact
+        # floats among them), some made asymmetric, non-positive or out of
+        # range; Spectrum must keep or refuse each one as the
+        # merge-then-look-up-each-mirror check does
         n = data.draw(st.integers(0, 3), label="n")
         small = st.fractions(min_value=0, max_value=F(3, 2), max_denominator=12)
         mults = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
         entries = []
         for d, m in data.draw(st.lists(st.tuples(small, mults), max_size=5), label="pairs"):
             entries += [(F(n - 1, 2) - d, m), (F(n - 1, 2) + d, m)]
-        defect = data.draw(st.sampled_from(["none", "asymmetric", "nonpositive"]))
+        defect = data.draw(st.sampled_from(["none", "asymmetric", "nonpositive", "outside"]))
         if defect == "asymmetric":
             entries.append((data.draw(st.fractions(-1, 3, max_denominator=12)), data.draw(mults)))
         elif defect == "nonpositive":
             mult = data.draw(st.fractions(-2, 0, max_denominator=4))
             alpha = entries[0][0] if entries and data.draw(st.booleans()) else F(n - 1, 2)
             entries.append((alpha, mult))
+        elif defect == "outside":
+            # a mirrored pair at or beyond -1 and n
+            d = F(n + 1, 2) + data.draw(st.fractions(0, 2, max_denominator=4))
+            m = data.draw(mults)
+            entries += [(F(n - 1, 2) - d, m), (F(n - 1, 2) + d, m)]
         split = []
         for alpha, mult in entries:
-            part = data.draw(st.sampled_from([0, F(1, 2), 1]))
-            split += [(alpha, mult - part), (alpha, part)] if part else [(alpha, mult)]
+            parts = data.draw(st.lists(st.sampled_from([F(1, 2), 1]), max_size=2))
+            split += [(alpha, mult - sum(parts))] + [(alpha, part) for part in parts]
         shuffled = data.draw(st.permutations(split))
 
         def as_input(value):
-            form = data.draw(st.sampled_from([F, str, int]))
-            return F(value) if form is int and value.denominator != 1 else form(value)
+            form = data.draw(st.sampled_from([F, str, int, float]))
+            exact = {int: value.denominator == 1, float: value.denominator in (1, 2, 4, 8)}
+            return form(value) if exact.get(form, True) else F(value)
 
         given_entries = tuple((as_input(alpha), as_input(mult)) for alpha, mult in shuffled)
-        try:
-            expected = mirror_lookup_check(n, given_entries)
-        except ValueError as refusal:
-            with pytest.raises(ValueError) as caught:
-                Spectrum(n, given_entries)
-            # same wording; the symmetry refusal may name another alpha
-            assert str(caught.value).split(": alpha")[0] == str(refusal).split(": alpha")[0]
-        else:
-            got = Spectrum(n, given_entries).entries
-            assert got == expected
-            assert all(type(v) is F for entry in got for v in entry)
+        assert_same_verdict(n, given_entries)
+
+    @pytest.mark.parametrize(
+        "n, entries",
+        [
+            # exact floats
+            (1, ((-0.5, 0.25), (0.5, F(1, 4)), (0.25, 1), ("-1/4", 1.0))),
+            # equal alphas given as int, str and Fraction merge
+            (3, ((1, F(1, 2)), ("1", 1), (F(1), F(3, 2)), (0, 2), (2, "2"))),
+            (3, ((1, F(1, 2)), ("1", 1), (F(1), F(3, 2)), (0, 2), (2, "3"))),
+            # a symmetric pair outside (-1, n), and one on its ends
+            (1, ((F(-3, 2), 1), (F(3, 2), 1))),
+            (2, ((-1, 1), (2, 1))),
+            # numerators mirror, denominators differ: -1/2 + 1/3 != 0
+            (1, ((F(-1, 2), 1), (F(1, 3), 1))),
+            (2, ((F(1, 3), 1), (F(2, 5), 1))),
+        ],
+    )
+    def test_check_pins(self, n, entries):
+        assert_same_verdict(n, entries)
+
+    def test_many_large_distinct_denominators(self):
+        # about a thousand mirrored pairs a/p, (p - a)/p (n = 2) with distinct
+        # primes p near 10^6: the check compares them without a common
+        # denominator, and a perturbed copy is refused as the lookup refuses it
+        rng = random.Random(7)
+        primes = [p for p in range(10**6, 10**6 + 20000) if all(p % f for f in range(2, 1001))][:1000]
+        assert len(primes) == 1000
+        entries = []
+        for p in primes:
+            a, m = rng.choice([-1, 1]) * rng.randrange(1, p), F(rng.randint(1, 5), rng.randint(1, 3))
+            entries += [(F(a, p), m), (F(p - a, p), m)]
+        rng.shuffle(entries)
+        assert len(assert_same_verdict(2, entries)) == 2000
+        for i in range(3):
+            broken = list(entries)
+            alpha, mult = broken[i]
+            broken[i] = [(alpha + F(1, 10**6 + 3), mult), (alpha, mult + 1), (-alpha - 1, mult)][i]
+            assert_same_verdict(2, broken)
+            with pytest.raises(ValueError):
+                Spectrum(2, tuple(broken))
+
+
+def assert_same_verdict(n, entries):
+    """Spectrum(n, entries) keeps or refuses entries as mirror_lookup_check does."""
+    try:
+        expected = mirror_lookup_check(n, entries)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as caught:
+            Spectrum(n, tuple(entries))
+        # same wording; the symmetry refusal may name another alpha
+        assert str(caught.value).split(": alpha")[0] == str(refusal).split(": alpha")[0]
+        return None
+    got = Spectrum(n, tuple(entries)).entries
+    assert got == expected
+    assert all(type(v) is F for entry in got for v in entry)
+    return got
 
 
 def mirror_lookup_check(n, entries):
