@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .series import theta_series
+from .series import _theta_values
 
 # A symmetric polynomial in y_1, y_2, ... is kept as a dict from partitions
 # (descending tuples) to coefficients: the key (2, 1, 1) stands for
@@ -99,13 +99,14 @@ def _twisted_series(m: int, t_order: int, cap: int, nu) -> tuple:
     contributes and is never formed.  A rational `nu` gives Fraction values,
     and nu = MPoly.var("nu") MPoly values in nu, as in ``bernpoly._zero_values``.
     """
-    theta = theta_series(t_order + cap)
+    # the Taylor coefficient of theta at t^2k; theta is even
+    theta = [c / factorial(2 * k) for k, c in enumerate(_theta_values((t_order + cap) // 2 + 1))]
     # t s'(t) for the exponent s: coefficient j is j * s_j
-    twist = [-j * nu * theta.coeff(j) for j in range(t_order + 1)]
+    twist = [-j * nu * theta[j // 2] if j % 2 == 0 else 0 for j in range(t_order + 1)]
     slope = [{(): c} if c else {} for c in twist]
     for kp in range(1, (t_order + cap) // 2 + 1):
         for j in range(max(1, 2 * kp - cap), min(2 * kp - 1, t_order) + 1):
-            scale = j * (-1) ** (j + 1) * comb(2 * kp, j) * theta.coeff(2 * kp)
+            scale = j * (-1) ** (j + 1) * comb(2 * kp, j) * theta[kp]
             for lam, c in _power_sum(2 * kp - j, m):
                 slope[j][lam] = scale * c
     # E' = s'E, one coefficient at a time
@@ -182,11 +183,17 @@ class ChernData:
 
     @classmethod
     def from_text(cls, text: str) -> "ChernData":
-        """Read 'n <int>' and 'partition <p1,p2,...> value <number>' lines."""
+        """Read 'n <int>' and 'partition <p1,p2,...> value <number>' lines, one per partition."""
         from .spectra import _read_records
 
         n, records = _read_records(text, "partition", "value", "Chern")
-        return cls(n, {tuple(int(p) for p in key.split(",")): value for key, value in records})
+        numbers = {}
+        for key, value in records:
+            partition = tuple(sorted((int(p) for p in key.split(",")), reverse=True))
+            if partition in numbers:
+                raise ValueError(f"partition {key} repeats an earlier line of the Chern file")
+            numbers[partition] = value
+        return cls(n, numbers)
 
 
 def _integrate(graded: dict, data: ChernData, j: int) -> Fraction:

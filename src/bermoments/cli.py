@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import lcm
 
 # MAX_EXPONENT caps the decimal exponent of each rational argument (--nu,
 # --x, --nu-hi, each --weights part) as it caps the values of the text files
@@ -31,10 +32,10 @@ MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --fil
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
 
-# Joint caps on the bits of a rational argument (of its larger term) times its
-# order, since row k has about k times as many; checked before any series.
-MAX_NU_BITS_KMAX = 2**16  # (bits of nu) * --kmax of gamma, check, trace and manifold --chi
-MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps) * --k-cap of nu-threshold
+# Joint caps on the bits of a rational argument (of its larger term), or of a
+# --spectrum-file, times its order, since row k has k times as many bits.
+MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a file) * --kmax of gamma, check, trace, manifold --chi
+MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps, or of a file) * --k-cap of nu-threshold
 MAX_APOLY_BITS_K = 2**18  # (bits of --x + bits of --nu) * --k of apoly
 MAX_CHERN_BITS_KMAX = 2**13  # (bits of nu) * --kmax of manifold chern
 
@@ -158,6 +159,15 @@ def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     return args.spectrum_file
 
 
+def _check_file_bits(args, size: int, what: str = "--kmax", cap: int = MAX_NU_BITS_KMAX):
+    """Cap the bits of a --spectrum-file's centered spectral numbers over their lcm against the order."""
+    if args.spectrum_file is not None:
+        centered = args.spectrum_file.centered()  # symmetric about 0, so the last is the largest
+        scale = lcm(*(a.denominator for a, _ in centered))
+        bits = max(scale, centered[-1][0] * scale).numerator.bit_length()
+        _check_bits(bits, size, f"(bits of the centered spectrum) * {what}", cap)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one 'error: ...' line on stderr, exit code 2."""
 
@@ -251,10 +261,7 @@ def _cmd_bernoulli(args) -> int:
 def _cmd_theta(args) -> int:
     from .series import theta_series
 
-    series = theta_series(args.order)
-    for k in range(args.order + 1):
-        print(f"{k}\t{series.coeff(k)}")
-    return 0
+    return _print_rows(theta_series(args.order).coeffs)
 
 
 def _cmd_apoly(args) -> int:
@@ -303,6 +310,7 @@ def _cmd_gamma(args) -> int:
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
     _check_nu_bits(nu, args.kmax)
+    _check_file_bits(args, args.kmax)
     gamma = gamma_of(spectrum, 2 * args.kmax)(nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
@@ -312,6 +320,7 @@ def _cmd_check(args) -> int:
 
     spectrum = _spectrum_from_args(args)
     _check_nu_bits(conjecture_nu(spectrum, args.mode), args.kmax)
+    _check_file_bits(args, args.kmax)
     report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
@@ -323,6 +332,7 @@ def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
     _check_nu_bits(args.nu, args.kmax)
+    _check_file_bits(args, args.kmax)
     spectrum = _spectrum_from_args(args)
     values = trace_convergence(spectrum, args.nu, args.kmax)
     for k, value in enumerate(values, start=1):
@@ -336,6 +346,7 @@ def _cmd_nu_threshold(args) -> int:
     k_cap = args.k if args.k_cap is None else args.k_cap
     bits = _bits(args.nu_hi) + args.steps
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
+    _check_file_bits(args, k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
     estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
     print(estimate)

@@ -5,9 +5,9 @@ Two sign predictions are tested exactly, coefficient by coefficient:
 * (W): (-1)^k Gamma_2k(V, n+1) > 0 for every k, and
 * (S): (-1)^k Gamma_2k(V, spread) >= 0 with spread = alpha_mu - alpha_1.
 
-Because the transform is monotone in nu (passing at some nu implies passing
-at every larger nu), the smallest admissible nu for a window of indices can
-be bracketed by exact rational bisection.
+Exact rational bisection brackets the smallest admissible nu for a window
+of indices, assuming that passing at some nu implies passing at every
+larger nu (monotone in nu); nothing checks that assumption.
 
 The checks, the threshold search and the trace sequence take a Spectrum or
 a WeightSystem; :func:`gamma_of` gives nu -> Gamma(V, nu) of either, a
@@ -103,8 +103,8 @@ def nu_threshold(
     """Upper estimate of the smallest nu with nonnegative signs from index k up.
 
     A probe at nu passes when (-1)^k' Gamma_2k'(V, nu) >= 0 for every
-    k <= k' <= k_cap (k_cap defaults to k).  Passing is monotone in nu, so
-    bisection between 0 and nu_hi brackets the threshold; the returned value
+    k <= k' <= k_cap (k_cap defaults to k).  Bisection between 0 and nu_hi
+    assumes, unchecked, that passing is monotone in nu; if it is, the result
     is a passing endpoint within nu_hi / 2**steps of the infimum over the
     probed window.  It never claims to be the true infimum.
     """

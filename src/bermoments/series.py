@@ -2,7 +2,9 @@
 
 Everything in this package is computed over the rationals; floating point
 enters only in the asymptotic and Fourier evaluators.  The scalar type is
-``fractions.Fraction``, re-exported as ``Rational``.
+``fractions.Fraction``, re-exported as ``Rational``.  The Bernoulli numbers
+and the values of theta come from the integer tangent numbers, built anew by
+each call: the module keeps no state.
 
 A :class:`TruncatedSeries` stores the plain Taylor coefficients c_0..c_N of
 a series known up to and including order N.  Coefficients beyond the order
@@ -190,35 +192,6 @@ def exp_linear(a, order: int) -> TruncatedSeries:
     return exp_t.scale_arg(Fraction(a))
 
 
-# B_0, B_1, B_2, ...: grown by _bernoulli to the largest count asked for so far
-_BERNOULLI = (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
-
-
-def _bernoulli(count: int) -> tuple:
-    """B_0 .. B_{count-1} from the one growing table.
-
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
-    and the odd values beyond B_1 vanish and are stored as 0.  The table
-    grows to at least twice its length, so callers that ask for one more
-    entry at a time rebuild the tangent numbers only logarithmically often.
-    It is extended into a new tuple, so a returned slice never changes.
-    """
-    global _BERNOULLI
-    if count > len(_BERNOULLI):
-        table = list(_BERNOULLI)
-        size = max(count, 2 * len(table))
-        tangent = _tangent_numbers((size - 1) // 2)
-        for m in range(len(table), size):
-            if m % 2:
-                table.append(Fraction(0))
-            else:
-                k = m // 2
-                four = 4**k
-                table.append(Fraction((-1) ** (k - 1) * m * tangent[k - 1], four * (four - 1)))
-        _BERNOULLI = tuple(table)
-    return _BERNOULLI[:count]
-
-
 def _tangent_numbers(n: int) -> list:
     """The tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), in integers.
 
@@ -237,13 +210,16 @@ def _tangent_numbers(n: int) -> list:
 
 
 def bernoulli_numbers(count: int) -> list:
-    """B_0 .. B_{count-1} as exact fractions, from the tangent numbers.
+    """B_0 .. B_{count-1}, with B_2k = -2k theta_k from the tangent numbers (:func:`_theta_values`).
 
-    Convention B_1 = -1/2; all odd values beyond B_1 vanish.
+    Convention B_1 = -1/2; all odd values beyond B_1 vanish and are stored as 0.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return list(_bernoulli(count))
+    table = [Fraction(1), Fraction(-1, 2)]
+    for k, theta in enumerate(_theta_values((count + 1) // 2)[1:], start=1):
+        table += [-2 * k * theta, Fraction(0)]
+    return table[:count]
 
 
 def _binomial_row(n: int) -> list:
@@ -292,9 +268,12 @@ def _even_exp(s) -> tuple:
 
 
 def _theta_values(count: int) -> tuple:
-    """-B_2k/(2k) for k < count (0 at k = 0): the even values of theta_series."""
-    bern = _bernoulli(2 * count - 1)
-    return (Fraction(0),) + tuple(Fraction(-1, 2 * k) * bern[2 * k] for k in range(1, count))
+    """The even values of theta_series, -B_2k/(2k) = (-1)^k T_k / (4^k (4^k - 1)) for k < count."""
+    values = [Fraction(0)]
+    for k, tangent in enumerate(_tangent_numbers(count - 1), start=1):
+        four = 4**k
+        values.append(Fraction((-1) ** k * tangent, four * (four - 1)))
+    return tuple(values)
 
 
 def _even_series(values, order: int) -> TruncatedSeries:

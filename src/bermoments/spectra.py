@@ -44,6 +44,8 @@ def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
             continue
         fields = line.split()
         if fields[0] == "n" and len(fields) == 2:
+            if n is not None:
+                raise ValueError(f"{kind} file has a second 'n' line: {line!r}")
             n = int(fields[1])
         elif fields[0] == record and len(fields) == 4 and fields[2] == label:
             records.append((fields[1], _fraction(fields[3])))

@@ -357,6 +357,14 @@ class TestChernData:
         with pytest.raises(ValueError, match="unrecognized Chern file line"):
             ChernData.from_text("n 2\npartition 2 3\n")
 
+    @pytest.mark.parametrize("first, second", [("2", "2"), ("1,2", "2,1"), ("1,1,2", "1,2,1")])
+    def test_text_format_refuses_a_repeated_partition(self, first, second):
+        # a second value for a partition would silently replace the first
+        n = sum(int(p) for p in first.split(","))
+        text = f"n {n}\npartition {first} value 3\npartition {second} value 24\n"
+        with pytest.raises(ValueError, match=f"partition {second} repeats"):
+            ChernData.from_text(text)
+
     def test_builtin_dispatch(self):
         assert builtin_chern_data("pn:2").number((1, 1)) == 9
         assert builtin_chi_vector("k3").chi == (2, 20, 2)

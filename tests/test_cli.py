@@ -231,14 +231,16 @@ def test_weights_power_sums_run_once_per_source(capsys, monkeypatch):
     assert code == 0 and err == "" and len(calls) == 1
 
 
-def test_numeric_transforms_never_grow_the_bernoulli_table(capsys, monkeypatch):
+def test_numeric_transforms_never_build_tangent_numbers(capsys, monkeypatch):
     # A_2j(0, nu) at a rational nu comes from the power recurrence of
     # sinh(t/2)/(t/2), so no numeric command of a spectrum, a chi vector or
-    # apoly --x --nu reads a Bernoulli number; the symbolic apoly still does
+    # apoly --x --nu reads a Bernoulli number or theta; every command that
+    # does builds them from the tangent numbers
     from bermoments import series
 
-    seed = (F(1), F(-1, 2), F(1, 6))
-    monkeypatch.setattr(series, "_BERNOULLI", seed)
+    calls = []
+    tangent_numbers = series._tangent_numbers
+    monkeypatch.setattr(series, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
     for source in (("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23")):
         for command, *rest in (
             ("gamma", "--nu", "5/2", "--kmax", "30"),
@@ -254,9 +256,17 @@ def test_numeric_transforms_never_grow_the_bernoulli_table(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "" and out
-    assert series._BERNOULLI is seed
-    code, out, err = run(capsys, "apoly", "--k", "12")
-    assert code == 0 and len(series._BERNOULLI) > len(seed)
+    assert calls == []
+    for argv in (
+        ("apoly", "--k", "12"),
+        ("gamma", "--weights", "1/3,1/5,1/7", "--mode", "S", "--kmax", "12"),
+        ("theta", "--order", "12"),
+        ("bernoulli", "--count", "12"),
+        ("manifold", "chern", "--builtin", "pn:2", "--nu", "4/3", "--kmax", "3"),
+    ):
+        calls.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out and calls, argv[0]
 
 
 def _with_bits(bits: int) -> str:
@@ -299,6 +309,46 @@ def test_mode_s_spread_of_a_spectrum_file_is_capped(tmp_path, capsys):
         code, out, err = run(capsys, command, "--mode", "S", "--spectrum-file", str(path), "--kmax", str(kmax))
         assert_one_error_line(code, out, err)
         assert f"(bits of nu) * --kmax = {MAX_NU_BITS_KMAX // kmax + 1} * {kmax}" in err
+
+
+def test_bits_of_a_spectrum_file_are_capped_against_the_order(tmp_path, capsys):
+    # row k of the power sums carries the centered spectral numbers over
+    # their scale, the lcm of their denominators, to the power 2k whatever
+    # nu is; each cap admits its bound and refuses one bit more, of the
+    # scale or of the numerators (a large n), before any power sum
+    def spectrum_file(bits: int, wide: bool) -> str:
+        path = tmp_path / f"{'wide' if wide else 'long'}{bits}.spectrum"
+        if wide:
+            scale = 2 ** (bits - 1) + 1
+            path.write_text(f"n 1\nalpha -1/{scale} mult 1\nalpha 1/{scale} mult 1\n")
+        else:
+            # centered about (n - 1)/2: scale 2, numerators +-(2^bits - 1)
+            path.write_text(f"n {2 ** bits}\nalpha 0 mult 1\nalpha {2 ** bits - 1} mult 1\n")
+        return str(path)
+
+    kmax, k_cap = 16, 8
+    cases = [
+        (("gamma", "--nu", "1", "--kmax", str(kmax)), "--kmax", MAX_NU_BITS_KMAX // kmax),
+        (("check", "--mode", "W", "--kmax", str(kmax)), "--kmax", MAX_NU_BITS_KMAX // kmax),
+        (("trace", "--nu", "1", "--kmax", str(kmax)), "--kmax", MAX_NU_BITS_KMAX // kmax),
+        (("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "8", "--k-cap", str(k_cap)),
+         "--k-cap", MAX_THRESHOLD_BITS_K // k_cap),
+    ]
+    for argv, what, bits in cases:
+        code, out, err = run(capsys, *argv, "--spectrum-file", spectrum_file(bits, True))
+        assert code == 0 and err == "" and out, argv[0]
+        for wide in (True, False):
+            code, out, err = run(capsys, *argv, "--spectrum-file", spectrum_file(bits + 1, wide))
+            assert_one_error_line(code, out, err)
+            # the nu of check --mode W, n + 1, is as long as the long file's
+            # numerators and is refused first
+            if wide or argv[0] != "check":
+                assert f"(bits of the centered spectrum) * {what} = {bits + 1} * {argv[-1]}" in err
+    # the long file at the bound is accepted too
+    code, out, err = run(capsys, "gamma", "--nu", "1", "--kmax", str(kmax), "--spectrum-file",
+                         spectrum_file(MAX_NU_BITS_KMAX // kmax, False))
+    assert code == 0 and err == "" and out
+
 
 ORACLE_COMMANDS = [
     ("gamma", "--mode", "S", "--kmax", "12"),

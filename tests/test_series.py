@@ -17,9 +17,8 @@ from bermoments import (
     sinhc_half,
     theta_series,
 )
-from bermoments import series
 from bermoments.polynomials import MPoly
-from bermoments.series import _bernoulli, _dot, _even_exp, _even_mul, _even_series
+from bermoments.series import _dot, _even_exp, _even_mul, _even_series, _theta_values
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -275,17 +274,11 @@ class TestBernoulliTable:
     """The tangent-number table against the binomial recursion, its oracle."""
 
     def test_matches_the_binomial_recursion(self):
-        assert list(_bernoulli(513)) == binomial_recursion_bernoulli(513)
+        assert bernoulli_numbers(513) == binomial_recursion_bernoulli(513)
 
-    def test_grows_entry_by_entry_and_keeps_returned_slices(self, monkeypatch):
-        monkeypatch.setattr(series, "_BERNOULLI", (F(1), F(-1, 2), F(1, 6)))
-        expected = binomial_recursion_bernoulli(100)
-        before = _bernoulli(7)
-        for count in range(1, 101):
-            assert _bernoulli(count) == tuple(expected[:count])
-        assert len(series._BERNOULLI) <= 2 * 100
-        # a slice is a tuple of its own: growing the table leaves it as it was
-        assert before == tuple(expected[:7]) and type(before) is tuple
+    def test_theta_values_are_minus_b2k_over_2k(self):
+        bern = binomial_recursion_bernoulli(513)
+        assert _theta_values(257) == (F(0),) + tuple(-bern[2 * k] / (2 * k) for k in range(1, 257))
 
 
 def test_every_cache_is_bounded():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bermoments import (
+    ChernData,
     PuiseuxData,
     Spectrum,
     TpqrParams,
@@ -389,6 +390,13 @@ alpha 1/6 mult 1
             Spectrum.from_text("n 1\nalpha nonsense\n")
         with pytest.raises(ValueError, match="missing"):
             Spectrum.from_text("alpha 0 mult 1\n")
+
+    def test_second_n_line_refused(self):
+        # in both file formats, which share one reader
+        with pytest.raises(ValueError, match="spectrum file has a second 'n' line"):
+            Spectrum.from_text("n 1\nalpha -1/6 mult 1\nalpha 1/6 mult 1\nn 3\n")
+        with pytest.raises(ValueError, match="Chern file has a second 'n' line"):
+            ChernData.from_text("n 1\nn 1\npartition 1 value 2\n")
 
     def test_merging_of_repeated_entries(self):
         merged = Spectrum.from_text("n 2\nalpha 1/2 mult 1\nalpha 1/2 mult 2\n")
