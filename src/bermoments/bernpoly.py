@@ -13,7 +13,7 @@ Bernoulli polynomials B_k(x) = A_k(x - 1/2, 1) and numbers B_k = B_k(0).
 
 The values A_2j(0, nu) come from the power recurrence of sinh(t/2)/(t/2)
 at a rational nu, and from the exp of nu * log((t/2)/sinh(t/2)) at a
-symbolic nu; the tests keep the exp as the oracle of the recurrence.
+symbolic nu; the tests run the exp at a rational nu as the recurrence's oracle.
 
 Exact polynomial generation stays in Fraction arithmetic; an exact value at
 rational x and nu is one integer sum over one denominator.
@@ -46,7 +46,7 @@ def _zero_values(k: int, nu) -> tuple:
     if k < 0:
         raise ValueError("k must be >= 0")
     if not isinstance(nu, (int, Fraction)):
-        return _exp_zero_values(k, nu, 1)
+        return _exp_zero_values(k, nu)
     numerators, common = _scaled_zero_values(k, nu.numerator, nu.denominator)
     return tuple(Fraction(h, common * (4 * nu.denominator) ** j) for j, h in enumerate(numerators))
 
@@ -82,21 +82,13 @@ def _scaled_zero_values(k: int, p: int, q: int) -> tuple:
     return numerators, common
 
 
-def _exp_zero_values(k: int, p, q: int) -> tuple:
-    """q^j A_2j(0, p/q) for 2j <= k as the exp of p q^(j-1) theta_2j.
+def _exp_zero_values(k: int, nu) -> tuple:
+    """A_2j(0, nu) for 2j <= k as the exp of nu * theta_2j.
 
-    The exp recurrence is homogeneous (exponent value j times q^j gives
-    result value j times q^j) and runs in any ring: it is the route of a
-    symbolic nu (p = MPoly.var(NU), q = 1) and the tests' oracle of the
-    power recurrence.
+    The exp recurrence runs in any ring: it is the route of a symbolic nu
+    (nu = MPoly.var(NU)) and the tests' oracle of the power recurrence.
     """
-    theta = _theta_values(k // 2 + 1)
-    exponent = [p * theta[0]]
-    power = p
-    for value in theta[1:]:
-        exponent.append(power * value)
-        power = power * q
-    return _even_exp(exponent)
+    return _even_exp([nu * value for value in _theta_values(k // 2 + 1)])
 
 
 def _from_zero_values(k: int, x, zeros):

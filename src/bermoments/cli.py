@@ -131,11 +131,34 @@ def _parse_spectrum_file(path: str) -> Spectrum:
     return Spectrum.from_text(_read_text(path))
 
 
+def _chern_dimension(n: int) -> int:
+    if n > MAX_CHERN_DIMENSION:
+        raise ValueError(f"dimension {n} is above the cap of {MAX_CHERN_DIMENSION}")
+    return n
+
+
 @_type_error
 def _parse_chern_file(path: str) -> ChernData:
     from .chern import ChernData
 
-    return ChernData.from_text(_read_text(path))
+    data = ChernData.from_text(_read_text(path))
+    _chern_dimension(data.n)
+    return data
+
+
+@_type_error
+def _parse_builtin(spec: str) -> ChernData:
+    from .chern import _builtin, chern_data_genus, chern_data_k3, chern_data_pn
+
+    # the cap is checked on N before pn:N lists the partitions of N
+    return _builtin(spec, lambda n: chern_data_pn(_chern_dimension(n)), chern_data_k3, chern_data_genus)
+
+
+@_type_error
+def _parse_chi(text: str) -> ChiVector:
+    from .moments import ChiVector
+
+    return ChiVector(tuple(int(part) for part in text.split(",")))
 
 
 def _add_spectrum_source(parser: argparse.ArgumentParser):
@@ -159,10 +182,12 @@ def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     return args.spectrum_file
 
 
-def _check_file_bits(args, size: int, what: str = "--kmax", cap: int = MAX_NU_BITS_KMAX):
-    """Cap the bits of a --spectrum-file's centered spectral numbers over their lcm against the order."""
+def _check_file_bits(args, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX, most=MAX_KMAX):
+    """Cap a --spectrum-file's entries (to MAX_TPQR_MU * `most`, as --tpqr caps mu) and the
+    bits of its centered spectral numbers over their lcm (to `cap`), each against the order."""
     if args.spectrum_file is not None:
         centered = args.spectrum_file.centered()  # symmetric about 0, so the last is the largest
+        _check_bits(len(centered), size, f"(entries of the spectrum file) * {what}", MAX_TPQR_MU * most)
         scale = lcm(*(a.denominator for a, _ in centered))
         bits = max(scale, centered[-1][0] * scale).numerator.bit_length()
         _check_bits(bits, size, f"(bits of the centered spectrum) * {what}", cap)
@@ -229,13 +254,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-cap", type=_at_most(MAX_THRESHOLD_K))
 
     p = sub.add_parser("manifold", help="moments of a compact complex manifold")
-    p.add_argument("--chi", help="comma-separated chi_0..chi_n, e.g. 2,20,2")
-    p.add_argument("--nu", type=_parse_fraction)
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX))
+    # the chern subcommand has its own --nu and --kmax, so these keep their own dests
+    p.add_argument("--chi", type=_parse_chi, help="comma-separated chi_0..chi_n, e.g. 2,20,2")
+    p.add_argument("--nu", type=_parse_fraction, dest="chi_nu", metavar="NU")
+    p.add_argument("--kmax", type=_at_most(MAX_KMAX), dest="chi_kmax", metavar="KMAX")
     manifold_sub = p.add_subparsers(dest="mode")
     p_chern = manifold_sub.add_parser("chern", help="from Chern numbers")
     chern_source = p_chern.add_mutually_exclusive_group(required=True)
-    chern_source.add_argument("--builtin", help="pn:N, k3 or genus:G")
+    chern_source.add_argument("--builtin", type=_parse_builtin, help="pn:N, k3 or genus:G")
     chern_source.add_argument("--file", type=_parse_chern_file, help="Chern number file")
     p_chern.add_argument("--nu", type=_parse_fraction, required=True)
     p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
@@ -346,39 +372,29 @@ def _cmd_nu_threshold(args) -> int:
     k_cap = args.k if args.k_cap is None else args.k_cap
     bits = _bits(args.nu_hi) + args.steps
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
-    _check_file_bits(args, k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
+    _check_file_bits(args, k_cap, "--k-cap", MAX_THRESHOLD_BITS_K, MAX_THRESHOLD_K)
     spectrum = _spectrum_from_args(args)
     estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
     print(estimate)
     return 0
 
 
-def _check_chern_dimension(n: int):
-    if n > MAX_CHERN_DIMENSION:
-        raise ValueError(f"dimension {n} is above the cap of {MAX_CHERN_DIMENSION}")
-
-
 def _cmd_manifold(args) -> int:
+    chi_route = (args.chi, args.chi_nu, args.chi_kmax)
     if args.mode == "chern":
-        from .chern import _builtin, bernoulli_moments_from_chern, builtin_chern_data
-
-        if args.builtin is not None:
-            # read n off the spec first: pn:N lists the partitions of N
-            _check_chern_dimension(_builtin(args.builtin, lambda n: n, lambda: 2, lambda g: 1))
-            data = builtin_chern_data(args.builtin)
-        else:
-            data = args.file
-            _check_chern_dimension(data.n)
+        if chi_route != (None, None, None):
+            raise ValueError("manifold's own --chi, --nu and --kmax do not go with chern")
         _check_nu_bits(args.nu, args.kmax, MAX_CHERN_BITS_KMAX)
-        return _print_rows(bernoulli_moments_from_chern(data, args.nu, args.kmax))
-    if args.chi is None or args.nu is None or args.kmax is None:
-        raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
-    _check_nu_bits(args.nu, args.kmax)
-    from .moments import ChiVector, bernoulli_moments, moments_of_chi
+        from .chern import bernoulli_moments_from_chern
 
-    chi = ChiVector(tuple(int(part) for part in args.chi.split(",")))
-    gamma = bernoulli_moments(moments_of_chi(chi, 2 * args.kmax), args.nu)
-    return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
+        return _print_rows(bernoulli_moments_from_chern(args.builtin or args.file, args.nu, args.kmax))
+    if None in chi_route:
+        raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
+    _check_nu_bits(args.chi_nu, args.chi_kmax)
+    from .moments import bernoulli_moments, moments_of_chi
+
+    gamma = bernoulli_moments(moments_of_chi(args.chi, 2 * args.chi_kmax), args.chi_nu)
+    return _print_rows(gamma.moment(2 * k) for k in range(args.chi_kmax + 1))
 
 
 _HANDLERS = {

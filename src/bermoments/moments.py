@@ -14,6 +14,10 @@ coefficients.  This module also provides the closed product forms for
 quasihomogeneous and hyperbolic singularities and for a few standard
 manifolds, each written so it can be cross-checked against the definitional
 route.
+
+Each route builds MomentSeries(values, order, nu) from its even values; the
+raw series of a spectrum or a chi vector keeps the integer power sums of
+:func:`_power_sums`, which the transform reads in place of its values.
 """
 
 from __future__ import annotations
@@ -54,27 +58,21 @@ class MomentSeries:
     order: int
     nu: Fraction | None
 
-    def __init__(self, series: TruncatedSeries, nu=None):
-        if not series.is_even():
-            raise ValueError("moment series must be even in t")
-        values = tuple(series.moment(two_k) for two_k in range(0, series.order + 1, 2))
-        self._fill(values, series.order, nu)
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("a series needs at least a constant coefficient")
+        values = tuple(_coeff(v) for v in self.values)
+        if len(values) != self.order // 2 + 1:
+            raise ValueError(f"{len(values)} even values do not fit order {self.order}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nu", None if self.nu is None else Fraction(self.nu))
 
     @classmethod
-    def from_values(cls, values, order: int, nu=None) -> "MomentSeries":
-        """The series sum_k values[k] t^2k/(2k)!, truncated at `order`."""
-        result = cls.__new__(cls)
-        result._fill(tuple(_coeff(v) for v in values), order, nu)
-        return result
-
-    def _fill(self, values: tuple, order: int, nu):
-        if order < 0:
-            raise ValueError("a series needs at least a constant coefficient")
-        if len(values) != order // 2 + 1:
-            raise ValueError(f"{len(values)} even values do not fit order {order}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nu", None if nu is None else Fraction(nu))
+    def from_series(cls, series: TruncatedSeries, nu=None) -> "MomentSeries":
+        """The factorial-normalized values of an even Taylor series."""
+        if not series.is_even():
+            raise ValueError("moment series must be even in t")
+        return cls(tuple(series.moment(two_k) for two_k in range(0, series.order + 1, 2)), series.order, nu)
 
     @property
     def series(self) -> TruncatedSeries:
@@ -100,18 +98,17 @@ class MomentSeries:
             nu = None
         else:
             nu = (self.nu or Fraction(0)) + (other.nu or Fraction(0))
-        return MomentSeries.from_values(_even_mul(self.values, other.values), self.order, nu)
+        return MomentSeries(_even_mul(self.values, other.values), self.order, nu)
 
 
-def _exp_sum(pairs, order: int) -> MomentSeries:
-    """The even part of sum_i m_i exp(a_i t) over pairs (a_i, m_i).
+def _power_sums(pairs, order: int) -> tuple:
+    """(N, unit, sigma): the even power sums of pairs (a_i, m_i) over integers.
 
-    Only the even power sums sum_i m_i a_i^2k are formed.  For a spectrum or
-    a chi vector, whose pairs Spectrum and ChiVector check to be symmetric
-    about 0, the odd ones cancel and this is the whole series.
-    The a_i and m_i are written over common denominators, so each power sum
-    runs over integers: V_2k = N_k / (unit * sigma^k) with sigma = scale^2.
-    The series keeps that integer form, which is no field, for the transforms.
+    The a_i and m_i are written over common denominators, scale and unit, so
+    N_k = unit * sigma^k * sum_i m_i a_i^2k (2k <= order) is an integer sum,
+    with sigma = scale^2.  The even part of sum_i m_i exp(a_i t) then has the
+    values N_k / (unit * sigma^k); for a spectrum or a chi vector, whose pairs
+    Spectrum and ChiVector check to be symmetric about 0, the odd part cancels.
     """
     pairs = [(Fraction(a), Fraction(m)) for a, m in pairs]
     scale = lcm(*(a.denominator for a, _ in pairs))
@@ -122,23 +119,30 @@ def _exp_sum(pairs, order: int) -> MomentSeries:
     for _ in range(0, order + 1, 2):
         sums.append(sum(terms))
         terms = [term * square for term, square in zip(terms, squares)]
-    sigma = scale**2
-    values = [Fraction(n, unit * sigma**k) for k, n in enumerate(sums)]
-    series = MomentSeries.from_values(values, order)
-    object.__setattr__(series, "_integers", (tuple(sums), unit, sigma))
+    return tuple(sums), unit, scale**2
+
+
+def _raw_series(pairs, order: int) -> MomentSeries:
+    """The raw series of symmetric pairs, keeping the integer form of :func:`_power_sums`.
+
+    That form is no field: bernoulli_moments reads it; equality and repr do not.
+    """
+    integers = sums, unit, sigma = _power_sums(pairs, order)
+    series = MomentSeries((Fraction(n, unit * sigma**k) for k, n in enumerate(sums)), order, None)
+    object.__setattr__(series, "_integers", integers)
     return series
 
 
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_i m_i exp(t*(alpha_i - (n-1)/2)); even by symmetry."""
-    return _exp_sum(s.centered(), order)
+    return _raw_series(s.centered(), order)
 
 
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
     """Gamma(V, nu) = V * ((t/2)/sinh(t/2))^nu; v must be a raw moment series.
 
     Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu).  With
-    V_2k = N_k / (unit * sigma^k) (the integer form :func:`_exp_sum` keeps),
+    V_2k = N_k / (unit * sigma^k) (the integer form of :func:`_power_sums`),
     nu = p/q and (4q)^j A_2j(0, nu) = H_j / L (:func:`_scaled_zero_values`),
 
         unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j),
@@ -166,7 +170,7 @@ def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
             total = total * base + c * n * h
         values.append(Fraction(total, denominator))
         denominator *= base * sigma
-    return MomentSeries.from_values(values, v.order, nu)
+    return MomentSeries(values, v.order, nu)
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
@@ -187,28 +191,30 @@ def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
 # -- closed forms for quasihomogeneous singularities ---------------------------
 
 
-def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER, nu=None) -> MomentSeries:
+def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSeries:
     """Raw moment series of a quasihomogeneous singularity as a weight product.
 
     The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
     (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so V = mu exp(theta P) with
-    P_2k = N_k / sigma^k = sum_w (w^2k - (1-w)^2k), and given nu = p/q it
-    returns Gamma(V, nu) = mu exp(theta (P + nu)): the exp of
-    theta_2k q^(k-1) (q N_k + p sigma^k), value k divided by (sigma q)^k.
-    Equals moments_of_spectrum(spectrum_from_weights(ws)), transformed at nu.
+    P_2k = N_k / sigma^k = sum_w (w^2k - (1-w)^2k).
+    Equals moments_of_spectrum(spectrum_from_weights(ws)).
     """
-    return _qh_gamma(ws, order)(nu)
+    return _qh_gamma(ws, order)()
 
 
 def _qh_gamma(ws: WeightSystem, order: int):
-    """nu -> moments_qh_product(ws, order, nu); theta and the power sums run once."""
+    """nu -> Gamma(V, nu) = mu exp(theta (P + nu)) of a weight product; nu = None gives V.
+
+    Given nu = p/q it is the exp of theta_2k q^(k-1) (q N_k + p sigma^k),
+    value k divided by (sigma q)^k.  Theta and the power sums run once.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
     theta = _theta_values(order // 2 + 1)
     # P_2k is the even power sum of the signed pairs (w, 1) and (1 - w, -1),
     # one of each per weight, so its unit is 1
     signed = [pair for w in ws.weights for pair in ((w, 1), (1 - w, -1))]
-    sums, _, sigma = _exp_sum(signed, order)._integers
+    sums, _, sigma = _power_sums(signed, order)
 
     def gamma(nu=None) -> MomentSeries:
         p, q = (0, 1) if nu is None else (Fraction(nu).numerator, Fraction(nu).denominator)
@@ -216,7 +222,7 @@ def _qh_gamma(ws: WeightSystem, order: int):
         for k in range(1, len(theta)):
             exponent.append(theta[k] * q ** (k - 1) * (q * sums[k] + p * sigma**k))
         values = (ws.mu * e / (sigma * q) ** k for k, e in enumerate(_even_exp(exponent)))
-        return MomentSeries.from_values(values, order, nu)
+        return MomentSeries(values, order, nu)
 
     return gamma
 
@@ -245,7 +251,7 @@ def gamma_qh_product_nplus1(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     the quasihomogeneous case.
     """
     values = reduce(_even_mul, (_gamma_weight_values(w, order) for w in ws.weights))
-    return MomentSeries.from_values(values, order, len(ws.weights))
+    return MomentSeries(values, order, len(ws.weights))
 
 
 def q_exponent_poly(k: int):
@@ -291,7 +297,7 @@ def gamma_qh_product_spread(ws: WeightSystem, order: int = DEFAULT_ORDER) -> Mom
     t^2 coefficient vanishes identically.
     """
     values = reduce(_even_mul, (_q_factor_values(w, order) for w in ws.weights))
-    return MomentSeries.from_values((ws.mu * v for v in values), order, ws.spread)
+    return MomentSeries((ws.mu * v for v in values), order, ws.spread)
 
 
 def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -305,7 +311,7 @@ def gamma_tpqr_closed(params: TpqrParams, order: int = DEFAULT_ORDER) -> MomentS
     def value_at(two_k):
         return bern[two_k] * (sum(m ** (1 - two_k) for m in sides) - 1)
 
-    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, 1)
+    return MomentSeries(map(value_at, range(0, order + 1, 2)), order, 1)
 
 
 # -- compact complex manifolds ---------------------------------------------------
@@ -334,7 +340,7 @@ class ChiVector:
 
 def moments_of_chi(chi: ChiVector, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_p chi_p exp(t*(p - n/2)); even by Serre symmetry."""
-    return _exp_sum(((Fraction(2 * p - chi.n, 2), c) for p, c in enumerate(chi.chi)), order)
+    return _raw_series(((Fraction(2 * p - chi.n, 2), c) for p, c in enumerate(chi.chi)), order)
 
 
 def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -350,7 +356,7 @@ def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     def value_at(two_k):
         return Fraction(-2, two_k + 1) * _from_zero_values(two_k + 1, Fraction(-(n + 1), 2), zeros)
 
-    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, n)
+    return MomentSeries(map(value_at, range(0, order + 1, 2)), order, n)
 
 
 def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -366,7 +372,7 @@ def gamma_k3_closed(order: int = DEFAULT_ORDER) -> MomentSeries:
         odd = _from_zero_values(two_k + 1, Fraction(-3, 2), threes)
         return Fraction(-4, two_k + 1) * odd + 18 * twos[two_k // 2]
 
-    return MomentSeries.from_values(map(value_at, range(0, order + 1, 2)), order, 2)
+    return MomentSeries(map(value_at, range(0, order + 1, 2)), order, 2)
 
 
 def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -376,4 +382,4 @@ def gamma_genus_closed(g: int, order: int = DEFAULT_ORDER) -> MomentSeries:
     """
     bern = bernoulli_numbers(order + 1)
     values = ((1 - g) * 2 * bern[two_k] for two_k in range(0, order + 1, 2))
-    return MomentSeries.from_values(values, order, 1)
+    return MomentSeries(values, order, 1)

@@ -72,7 +72,7 @@ def test_criterion_02_transform_coefficient_formulas():
         coeffs[0] = F(rng.randint(1, 9))
         for two_k in range(2, order + 1, 2):
             coeffs[two_k] = random_fraction(rng) / factorial(two_k)
-        v = MomentSeries(TruncatedSeries(tuple(coeffs)))
+        v = MomentSeries.from_series(TruncatedSeries(tuple(coeffs)))
         v0, v2, v4, v6 = (v.moment(j) for j in (0, 2, 4, 6))
         nu = random_fraction(rng) + F(rng.randint(0, 3))
 

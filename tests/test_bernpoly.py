@@ -286,11 +286,11 @@ class TestZeroValues:
     @example(p=10**30 - 1, q=7, order=80, cut=80)
     @settings(max_examples=40, deadline=None)
     def test_power_recurrence_matches_the_exp_route(self, p, q, order, cut):
-        # Miller's recurrence for s^(-p/q) and the exp of p q^(j-1) theta_2j
-        # give the same q^j A_2j(0, p/q); a lower order gives a prefix
+        # Miller's recurrence for s^(-p/q) gives q^j A_2j(0, p/q), and the exp
+        # of nu theta_2j at nu = p/q gives A_2j(0, p/q); a lower order gives a prefix
         numerators, common = _scaled_zero_values(order, p, q)
         table = tuple(F(h, common * 4**j) for j, h in enumerate(numerators))
-        assert table == _exp_zero_values(order, p, q)
+        assert table == tuple(q**j * a for j, a in enumerate(_exp_zero_values(order, F(p, q))))
         assert len(table) == order // 2 + 1
         low, low_common = _scaled_zero_values(min(cut, order), p, q)
         assert tuple(F(h, low_common * 4**j) for j, h in enumerate(low)) == table[: len(low)]

@@ -224,8 +224,8 @@ def test_weights_power_sums_run_once_per_source(capsys, monkeypatch):
     from bermoments import moments
 
     calls = []
-    exp_sum = moments._exp_sum
-    monkeypatch.setattr(moments, "_exp_sum", lambda *args: calls.append(args) or exp_sum(*args))
+    power_sums = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda *args: calls.append(args) or power_sums(*args))
     argv = ("--k", "1", "--nu-hi", "4", "--steps", "8", "--k-cap", "6")
     code, out, err = run(capsys, "nu-threshold", "--weights", "1/3,1/5,1/7", *argv)
     assert code == 0 and err == "" and len(calls) == 1
@@ -411,6 +411,41 @@ def test_manifold_chern_requires_one_source(capsys):
         "manifold", "chern", "--builtin", "k3", "--file", "x", "--nu", "2", "--kmax", "1",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("manifold", "--chi=1,1", "chern", "--builtin", "pn:2", "--nu", "1", "--kmax", "2"),
+        ("manifold", "--nu", "3", "--kmax", "200", "chern", "--builtin", "pn:2", "--nu", "1", "--kmax", "2"),
+        ("manifold", "--kmax", "2", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "2"),
+    ],
+)
+def test_manifold_options_do_not_go_with_chern(capsys, argv):
+    # manifold's own --chi would be ignored, and its --nu and --kmax replaced
+    # by those of chern, so each is refused with chern
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "do not go with chern" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("manifold", "--chi=1,x", "--nu", "1", "--kmax", "2"),
+        ("manifold", "--chi=1,2", "--nu", "1", "--kmax", "2"),
+        ("manifold", "chern", "--builtin", "pn", "--nu", "1", "--kmax", "2"),
+        ("manifold", "chern", "--builtin", f"pn:{MAX_CHERN_DIMENSION + 1}", "--nu", "1", "--kmax", "1"),
+        ("manifold", "chern", "--builtin", "genus:-3", "--nu", "1", "--kmax", "2"),
+    ],
+)
+def test_manifold_sources_are_refused_as_their_option(capsys, argv):
+    # --chi and --builtin are parsed by their argparse types, so an error
+    # names the option and its value
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    option, value = argv[-6:-4] if argv[1] == "chern" else argv[1].split("=")
+    assert err.startswith(f"error: argument {option}: invalid value {value!r}")
 
 
 def test_usage_error_exit_code(capsys):
@@ -620,7 +655,49 @@ def test_chern_file_dimension_cap(tmp_path, capsys):
     path = tmp_path / "big.chern"
     path.write_text(f"n {n}\npartition {n} value 1\n")
     argv = ("manifold", "chern", "--file", str(path), "--nu", "0", "--kmax", "1")
-    assert_one_error_line(*run(capsys, *argv))
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: argument --file:") and "dimension" in err
+
+
+def _mirrored_spectrum_file(path, entries: int):
+    """A spectrum file (n = 1) of `entries` distinct spectral numbers +-i/(2^17 + 1), and 0."""
+    lines = ["n 1"] + (["alpha 0 mult 1"] if entries % 2 else [])
+    lines += [f"alpha {sign}{i}/131073 mult 1" for i in range(1, entries // 2 + 1) for sign in "-+"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--nu", "1", "--kmax", str(MAX_KMAX)),
+        ("check", "--mode", "S", "--kmax", str(MAX_KMAX)),
+        ("trace", "--nu", "1", "--kmax", str(MAX_KMAX)),
+        ("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "4", "--k-cap", str(MAX_THRESHOLD_K)),
+    ],
+)
+def test_spectrum_file_entries_are_capped_against_the_order(tmp_path, capsys, monkeypatch, argv):
+    # entries * order is capped as --tpqr caps it: MAX_TPQR_MU entries at the
+    # largest order.  One more is refused before any power sum runs; the bound
+    # passes the check and reaches the power sums, which stop here
+    from bermoments import moments
+
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise ValueError("power sums reached")
+
+    monkeypatch.setattr(moments, "_power_sums", reached)
+    path = tmp_path / "wide.spectrum"
+    for entries, message, runs in [
+        (MAX_TPQR_MU + 1, "(entries of the spectrum file) * --k", 0),
+        (MAX_TPQR_MU, "power sums reached", 1),
+    ]:
+        _mirrored_spectrum_file(path, entries)
+        code, out, err = run(capsys, argv[0], "--spectrum-file", str(path), *argv[1:])
+        assert_one_error_line(code, out, err)
+        assert message in err and len(calls) == runs
 
 
 def test_manifold_chern_reads_every_k_from_one_expansion(capsys):

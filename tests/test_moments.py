@@ -40,6 +40,7 @@ from bermoments import (
     TpqrParams,
 )
 from bermoments.bernpoly import _zero_values
+from bermoments.moments import _qh_gamma
 from bermoments.polynomials import MPoly
 from bermoments.series import _even_mul
 
@@ -53,22 +54,30 @@ def even_moment_series(rng: random.Random, order: int) -> MomentSeries:
     coeffs[0] = F(rng.randint(1, 9))
     for two_k in range(2, order + 1, 2):
         coeffs[two_k] = random_fraction(rng) / factorial(two_k)
-    return MomentSeries(TruncatedSeries(tuple(coeffs)))
+    return MomentSeries.from_series(TruncatedSeries(tuple(coeffs)))
 
 
 class TestMomentSeries:
     def test_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
-            MomentSeries(TruncatedSeries.from_coeffs([1, 1], order=4))
+            MomentSeries.from_series(TruncatedSeries.from_coeffs([1, 1], order=4))
+
+    def test_repr_round_trips_through_the_constructor(self):
+        # MomentSeries(values, order, nu) is the record constructor, so a
+        # raw series and a transformed one rebuild from their repr
+        v = moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), 8)
+        for series in (v, bernoulli_moments(v, F(5, 3))):
+            assert eval(repr(series), {"MomentSeries": MomentSeries, "Fraction": F}) == series
+            assert MomentSeries.from_series(series.series, series.nu) == series
 
     def test_transform_needs_raw_input(self):
-        v = MomentSeries(TruncatedSeries.one(4))
+        v = MomentSeries.from_series(TruncatedSeries.one(4))
         gamma = bernoulli_moments(v, 2)
         with pytest.raises(ValueError, match="raw"):
             bernoulli_moments(gamma, 1)
 
     def test_product_combines_parameters(self):
-        v = MomentSeries(TruncatedSeries.one(4))
+        v = MomentSeries.from_series(TruncatedSeries.one(4))
         a = bernoulli_moments(v, F(1, 2))
         b = bernoulli_moments(v, F(3, 2))
         assert (a * b).nu == 2
@@ -613,7 +622,7 @@ class TestEvenValueTransform:
         assert gamma.values == _even_mul(v.values, _zero_values(v.order, nu))
         assert gamma.series == t_series_transform(v, nu)
         # the integer form is no field: a series rebuilt from its values is equal
-        rebuilt = MomentSeries.from_values(v.values, v.order)
+        rebuilt = MomentSeries(v.values, v.order, None)
         assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
         assert bernoulli_moments(rebuilt, nu) == gamma
 
@@ -626,7 +635,7 @@ class TestEvenValueTransform:
     def test_raw_series_without_integer_form(self, values, nu, order):
         # a series built from its values has no N_k, unit and sigma: its
         # Fraction values are summed as N_k with unit = sigma = 1
-        v = MomentSeries.from_values(values[: order // 2 + 1], order)
+        v = MomentSeries(values[: order // 2 + 1], order, None)
         assert not hasattr(v, "_integers")
         assert bernoulli_moments(v, nu).values == _even_mul(v.values, _zero_values(order, nu))
 
@@ -634,10 +643,10 @@ class TestEvenValueTransform:
     @settings(max_examples=60, deadline=None)
     def test_weight_product_gamma_is_the_transform_of_v(self, ws, nu, order):
         # Gamma(V, nu) of a weight system is one exp; it must equal the
-        # transform of the raw product, which nu = None still returns
+        # transform of the raw product that moments_qh_product returns
         v = moments_qh_product(ws, order)
         assert v.is_raw
-        gamma = moments_qh_product(ws, order, nu)
+        gamma = _qh_gamma(ws, order)(nu)
         assert gamma == bernoulli_moments(v, nu)
         assert gamma.nu == nu and gamma.order == order
 
@@ -645,17 +654,17 @@ class TestEvenValueTransform:
     @settings(max_examples=40, deadline=None)
     def test_weight_product_gamma_matches_the_spectrum_route(self, ws, nu, order):
         direct = bernoulli_moments(moments_of_spectrum(spectrum_from_weights(ws), order), nu)
-        assert moments_qh_product(ws, order, nu) == direct
+        assert _qh_gamma(ws, order)(nu) == direct
 
     def test_values_are_the_factorial_normalized_coefficients(self):
         v = moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), 9)
         assert v.values == tuple(v.series.moment(two_k) for two_k in range(0, 10, 2))
-        assert MomentSeries.from_values(v.values, 9) == v
+        assert MomentSeries(v.values, 9, None) == v
         assert v.moment(3) == 0
         with pytest.raises(IndexError):
             v.moment(10)
         with pytest.raises(ValueError):
-            MomentSeries.from_values(v.values, 12)
+            MomentSeries(v.values, 12, None)
         with pytest.raises(ValueError):
             moments_of_spectrum(spectrum_tpqr(TpqrParams(2, 3, 7)), -2)
 

@@ -44,3 +44,21 @@ def test_every_command_line_exits_zero(tmp_path, monkeypatch, capsys):
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 0 and err == "" and out, line
+
+
+def test_caps_are_their_constants():
+    # each cap the README gives as `module.MAX_NAME` = 256 (or = 2^16, or
+    # = 2^14 = 16384) is that constant, and every cap of the CLI is given
+    import bermoments
+    from bermoments import cli, spectra
+
+    modules = {"bermoments": bermoments, "cli": cli, "spectra": spectra}
+    pattern = r"`(\w+)\.(MAX_\w+)`(?: \(also `cli\.\w+`\))? = (\d+)(?:\^(\d+))?((?: = \d+)*)"
+    given = re.findall(pattern, README)
+    assert len(given) >= 10
+    for module, name, base, exponent, equal in given:
+        value = int(base) ** int(exponent or 1)
+        assert value == getattr(modules[module], name), name
+        assert all(int(also) == value for also in re.findall(r"\d+", equal)), name
+    caps = {name for name in vars(cli) if name.startswith("MAX_")}
+    assert caps <= set(re.findall(r"`cli\.(MAX_\w+)`", README))
