@@ -32,12 +32,16 @@ MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --fil
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
 
-# Joint caps on the bits of a rational argument (of its larger term), or of a
-# --spectrum-file, times its order, since row k has k times as many bits.
-MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a file) * --kmax of gamma, check, trace, manifold --chi
+# Joint caps on the bits of a rational argument (of its larger term), or of the
+# centered pairs of a --spectrum-file or --chi, times its order, since row k
+# has k times as many bits.
+MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a source) * --kmax of gamma, check, trace, manifold --chi
 MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps, or of a file) * --k-cap of nu-threshold
 MAX_APOLY_BITS_K = 2**18  # (bits of --x + bits of --nu) * --k of apoly
 MAX_CHERN_BITS_KMAX = 2**13  # (bits of nu) * --kmax of manifold chern
+# (entries) * (bits) * --kmax (or --k-cap) of a --spectrum-file or --chi: the
+# power sums hold about twice as many bits at their last order
+MAX_POWER_SUM_BITS = 10**8
 
 
 def _bits(value) -> int:
@@ -126,9 +130,14 @@ def _read_text(path: str) -> str:
 
 @_type_error
 def _parse_spectrum_file(path: str) -> Spectrum:
-    from .spectra import Spectrum
+    from .spectra import MAX_DENSE_LENGTH, Spectrum
 
-    return Spectrum.from_text(_read_text(path))
+    text = _read_text(path)
+    # counted before any value is parsed; every spectrum qh or curve output fits
+    records = sum(1 for line in text.splitlines() if line.strip()[:1] not in ("", "#"))
+    if records > MAX_DENSE_LENGTH:
+        raise ValueError(f"{records} record lines are above the cap of {MAX_DENSE_LENGTH}")
+    return Spectrum.from_text(text)
 
 
 def _chern_dimension(n: int) -> int:
@@ -139,10 +148,12 @@ def _chern_dimension(n: int) -> int:
 
 @_type_error
 def _parse_chern_file(path: str) -> ChernData:
-    from .chern import ChernData
+    from .chern import ChernData, partitions_of
 
     data = ChernData.from_text(_read_text(path))
-    _chern_dimension(data.n)
+    for partition in partitions_of(_chern_dimension(data.n)):
+        if partition not in data.numbers:
+            raise ValueError(f"missing Chern number for partition {partition}")
     return data
 
 
@@ -182,15 +193,27 @@ def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     return args.spectrum_file
 
 
-def _check_file_bits(args, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX, most=MAX_KMAX):
-    """Cap a --spectrum-file's entries (to MAX_TPQR_MU * `most`, as --tpqr caps mu) and the
-    bits of its centered spectral numbers over their lcm (to `cap`), each against the order."""
-    if args.spectrum_file is not None:
-        centered = args.spectrum_file.centered()  # symmetric about 0, so the last is the largest
-        _check_bits(len(centered), size, f"(entries of the spectrum file) * {what}", MAX_TPQR_MU * most)
-        scale = lcm(*(a.denominator for a, _ in centered))
-        bits = max(scale, centered[-1][0] * scale).numerator.bit_length()
-        _check_bits(bits, size, f"(bits of the centered spectrum) * {what}", cap)
+def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
+    """Cap the bits of the centered pairs of a --spectrum-file or --chi (the larger of their
+    scale, the lcm of their denominators, and of their largest numerator over it) to `cap`, and
+    (entries) * (bits) to MAX_POWER_SUM_BITS, each times the order, before any power sum runs.
+
+    The order counts as at least 1, since the power sums form the scale at every order, and
+    the scale is built only until it alone is above a cap."""
+    if source is None:
+        return
+    size = max(size, 1)
+    centered = source.centered()  # symmetric about 0, so the last is the largest
+    most = min(cap // size, MAX_POWER_SUM_BITS // (len(centered) * size))
+    scale = 1
+    for denominator in {a.denominator for a, _ in centered}:
+        scale = lcm(scale, denominator)
+        if scale.bit_length() > most:
+            break
+    bits = max(scale, centered[-1][0] * scale).numerator.bit_length()
+    _check_bits(bits, size, f"(bits of the centered {name}) * {what}", cap)
+    entries_bits = len(centered) * bits
+    _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -331,12 +354,13 @@ def _check_nu_bits(nu, kmax: int, cap: int = MAX_NU_BITS_KMAX):
 
 
 def _cmd_gamma(args) -> int:
-    from .harness import conjecture_nu, gamma_of
+    from .harness import conjecture_nu
+    from .moments import gamma_of
 
     spectrum = _spectrum_from_args(args)
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
     _check_nu_bits(nu, args.kmax)
-    _check_file_bits(args, args.kmax)
+    _check_source(args.spectrum_file, "spectrum", args.kmax)
     gamma = gamma_of(spectrum, 2 * args.kmax)(nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
 
@@ -346,7 +370,7 @@ def _cmd_check(args) -> int:
 
     spectrum = _spectrum_from_args(args)
     _check_nu_bits(conjecture_nu(spectrum, args.mode), args.kmax)
-    _check_file_bits(args, args.kmax)
+    _check_source(args.spectrum_file, "spectrum", args.kmax)
     report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
@@ -358,7 +382,7 @@ def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
     _check_nu_bits(args.nu, args.kmax)
-    _check_file_bits(args, args.kmax)
+    _check_source(args.spectrum_file, "spectrum", args.kmax)
     spectrum = _spectrum_from_args(args)
     values = trace_convergence(spectrum, args.nu, args.kmax)
     for k, value in enumerate(values, start=1):
@@ -372,7 +396,7 @@ def _cmd_nu_threshold(args) -> int:
     k_cap = args.k if args.k_cap is None else args.k_cap
     bits = _bits(args.nu_hi) + args.steps
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
-    _check_file_bits(args, k_cap, "--k-cap", MAX_THRESHOLD_BITS_K, MAX_THRESHOLD_K)
+    _check_source(args.spectrum_file, "spectrum", k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
     estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
     print(estimate)
@@ -391,9 +415,10 @@ def _cmd_manifold(args) -> int:
     if None in chi_route:
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
     _check_nu_bits(args.chi_nu, args.chi_kmax)
-    from .moments import bernoulli_moments, moments_of_chi
+    _check_source(args.chi, "chi vector", args.chi_kmax)
+    from .moments import gamma_of
 
-    gamma = bernoulli_moments(moments_of_chi(args.chi, 2 * args.chi_kmax), args.chi_nu)
+    gamma = gamma_of(args.chi, 2 * args.chi_kmax)(args.chi_nu)
     return _print_rows(gamma.moment(2 * k) for k in range(args.chi_kmax + 1))
 
 
@@ -426,7 +451,8 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     finally:
         if limit:

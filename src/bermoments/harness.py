@@ -10,8 +10,8 @@ of indices, assuming that passing at some nu implies passing at every
 larger nu (monotone in nu); nothing checks that assumption.
 
 The checks, the threshold search and the trace sequence take a Spectrum or
-a WeightSystem; :func:`gamma_of` gives nu -> Gamma(V, nu) of either, a
-weight system's as one exp of its weight product without building its spectrum.
+a WeightSystem and reach nu -> Gamma(V, nu) through moments.gamma_of, the one
+nu-entry of every source; a weight system's spectrum is never built.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
@@ -27,9 +27,8 @@ from math import comb
 
 from ._record import record
 from .bernpoly import scaled_to_cosine
-from .moments import _qh_gamma, bernoulli_moments, moments_of_spectrum
+from .moments import gamma_of
 from .series import bernoulli_numbers
-from .spectra import Spectrum, WeightSystem, _weight_quotient
 
 
 @record
@@ -48,21 +47,6 @@ class ConjectureReport:
     @property
     def overall(self) -> bool:
         return all(ok for _, _, ok in self.rows)
-
-
-def gamma_of(source: Spectrum | WeightSystem, order: int):
-    """nu -> Gamma(V, nu) to `order` of a spectrum, or of a weight system's spectrum.
-
-    A weight system is checked once to belong to a singularity, as
-    spectrum_from_weights checks it; each Gamma is then one exp of its weight
-    product, whose nu-free power sums are run once.  A spectrum's power sums
-    are run once, then transformed per nu.
-    """
-    if isinstance(source, WeightSystem):
-        _weight_quotient(source)
-        return _qh_gamma(source, order)
-    v = moments_of_spectrum(source, order)
-    return lambda nu: bernoulli_moments(v, nu)
 
 
 def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:

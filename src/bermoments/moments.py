@@ -15,9 +15,9 @@ quasihomogeneous and hyperbolic singularities and for a few standard
 manifolds, each written so it can be cross-checked against the definitional
 route.
 
-Each route builds MomentSeries(values, order, nu) from its even values; the
-raw series of a spectrum or a chi vector keeps the integer power sums of
-:func:`_power_sums`, which the transform reads in place of its values.
+Each route builds MomentSeries(values, order, nu) from its even values;
+:func:`gamma_of` is the one nu-entry of every source, and
+:func:`bernoulli_moments` transforms a raw series read from its values.
 """
 
 from __future__ import annotations
@@ -122,55 +122,67 @@ def _power_sums(pairs, order: int) -> tuple:
     return tuple(sums), unit, scale**2
 
 
-def _raw_series(pairs, order: int) -> MomentSeries:
-    """The raw series of symmetric pairs, keeping the integer form of :func:`_power_sums`.
-
-    That form is no field: bernoulli_moments reads it; equality and repr do not.
-    """
-    integers = sums, unit, sigma = _power_sums(pairs, order)
-    series = MomentSeries((Fraction(n, unit * sigma**k) for k, n in enumerate(sums)), order, None)
-    object.__setattr__(series, "_integers", integers)
-    return series
+def _raw_series(source, order: int) -> MomentSeries:
+    """The raw series of a spectrum or a chi vector, from the power sums of its centered pairs."""
+    sums, unit, sigma = _power_sums(source.centered(), order)
+    return MomentSeries((Fraction(n, unit * sigma**k) for k, n in enumerate(sums)), order, None)
 
 
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_i m_i exp(t*(alpha_i - (n-1)/2)); even by symmetry."""
-    return _raw_series(s.centered(), order)
+    return _raw_series(s, order)
 
 
-def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
-    """Gamma(V, nu) = V * ((t/2)/sinh(t/2))^nu; v must be a raw moment series.
+def _transform(sums, unit: int, sigma: int, order: int, nu) -> MomentSeries:
+    """Gamma(V, nu) to `order` of V_2k = N_k / (unit * sigma^k), N = `sums`.
 
-    Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu).  With
-    V_2k = N_k / (unit * sigma^k) (the integer form of :func:`_power_sums`),
-    nu = p/q and (4q)^j A_2j(0, nu) = H_j / L (:func:`_scaled_zero_values`),
-
-        unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j),
-
-    so each row is one integer sum, by Horner's rule in 4q, and one Fraction.
-    Any other raw series is read as N_k = V_2k with unit = sigma = 1.
-    Equals _even_mul(v.values, _zero_values(v.order, nu)).
+    With nu = p/q and (4q)^j A_2j(0, nu) = H_j / L (:func:`_scaled_zero_values`),
+    Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu) reads
+    unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j):
+    one sum per row, by Horner's rule in 4q, and one Fraction.
     """
-    if not v.is_raw:
-        raise ValueError("bernoulli_moments expects a raw moment series")
     nu = Fraction(nu)
-    q = nu.denominator
-    sums, unit, sigma = getattr(v, "_integers", None) or (v.values, 1, 1)
-    table, common = _scaled_zero_values(v.order, nu.numerator, q)
+    table, common = _scaled_zero_values(order, nu.numerator, nu.denominator)
     if sigma != 1:
         power = 1
         for j in range(1, len(table)):  # in place: no second table is held
             power *= sigma
             table[j] *= power
-    values = []
-    denominator, base = unit * common, 4 * q
+    values, denominator, base = [], unit * common, 4 * nu.denominator
     for k in range(len(table)):
         total = 0  # by Horner's rule in 4q, so no power of q multiplies a big N
         for c, n, h in zip(_binomial_row(2 * k)[::2], sums[k::-1], table):
             total = total * base + c * n * h
         values.append(Fraction(total, denominator))
         denominator *= base * sigma
-    return MomentSeries(values, v.order, nu)
+    return MomentSeries(values, order, nu)
+
+
+def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
+    """Gamma(V, nu) = V * ((t/2)/sinh(t/2))^nu; v must be a raw moment series.
+
+    The rows of :func:`_transform`, read on the values of v: N_k = V_2k and
+    unit = sigma = 1.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
+    """
+    if not v.is_raw:
+        raise ValueError("bernoulli_moments expects a raw moment series")
+    return _transform(v.values, 1, 1, v.order, nu)
+
+
+def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
+    """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector or a weight system.
+
+    The power sums of the source run once.  Each nu is then one integer sum per
+    row (:func:`_transform`), or, for a weight system checked as
+    spectrum_from_weights checks it, one exp of its weight product.
+    """
+    if hasattr(source, "centered"):  # a Spectrum or a ChiVector
+        integers = _power_sums(source.centered(), order)
+        return lambda nu: _transform(*integers, order, nu)
+    from .spectra import _weight_quotient
+
+    _weight_quotient(source)
+    return _qh_gamma(source, order)
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
@@ -337,10 +349,14 @@ class ChiVector:
     def n(self) -> int:
         return len(self.chi) - 1
 
+    def centered(self) -> tuple:
+        """The pairs (p - n/2, chi_p), symmetric about 0 by Serre symmetry."""
+        return tuple((Fraction(2 * p - self.n, 2), c) for p, c in enumerate(self.chi))
+
 
 def moments_of_chi(chi: ChiVector, order: int = DEFAULT_ORDER) -> MomentSeries:
     """The series sum_p chi_p exp(t*(p - n/2)); even by Serre symmetry."""
-    return _raw_series(((Fraction(2 * p - chi.n, 2), c) for p, c in enumerate(chi.chi)), order)
+    return _raw_series(chi, order)
 
 
 def gamma_pn_closed(n: int, order: int = DEFAULT_ORDER) -> MomentSeries:

@@ -19,6 +19,7 @@ from bermoments.cli import (
     MAX_KMAX,
     MAX_NU_BITS_KMAX,
     MAX_ORDER,
+    MAX_POWER_SUM_BITS,
     MAX_STEPS,
     MAX_THRESHOLD_BITS_K,
     MAX_THRESHOLD_K,
@@ -29,6 +30,7 @@ from bermoments.cli import (
 )
 
 from bermoments import WeightSystem
+from bermoments.spectra import MAX_DENSE_LENGTH
 
 from helpers import FIXED_SYSTEMS
 
@@ -660,11 +662,26 @@ def test_chern_file_dimension_cap(tmp_path, capsys):
     assert err.startswith("error: argument --file:") and "dimension" in err
 
 
-def _mirrored_spectrum_file(path, entries: int):
-    """A spectrum file (n = 1) of `entries` distinct spectral numbers +-i/(2^17 + 1), and 0."""
+def _mirrored_spectrum_file(path, entries: int, bits: int):
+    """A spectrum file (n = 1) of `entries` distinct spectral numbers +-i/N, and 0, N of `bits` bits."""
+    denominator = 2 ** (bits - 1) + 1
     lines = ["n 1"] + (["alpha 0 mult 1"] if entries % 2 else [])
-    lines += [f"alpha {sign}{i}/131073 mult 1" for i in range(1, entries // 2 + 1) for sign in "-+"]
+    lines += [f"alpha {sign}{i}/{denominator} mult 1" for i in range(1, entries // 2 + 1) for sign in "-+"]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _stop_at_the_power_sums(monkeypatch) -> list:
+    """Make moments._power_sums record its call and end the command there."""
+    from bermoments import moments
+
+    calls = []
+
+    def reached(*args):
+        calls.append(args)
+        raise ValueError("power sums reached")
+
+    monkeypatch.setattr(moments, "_power_sums", reached)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -677,27 +694,138 @@ def _mirrored_spectrum_file(path, entries: int):
     ],
 )
 def test_spectrum_file_entries_are_capped_against_the_order(tmp_path, capsys, monkeypatch, argv):
-    # entries * order is capped as --tpqr caps it: MAX_TPQR_MU entries at the
-    # largest order.  One more is refused before any power sum runs; the bound
-    # passes the check and reaches the power sums, which stop here
-    from bermoments import moments
-
-    calls = []
-
-    def reached(*args):
-        calls.append(args)
-        raise ValueError("power sums reached")
-
-    monkeypatch.setattr(moments, "_power_sums", reached)
+    # entries * bits * order is capped: the last row of the power sums holds
+    # about twice as many bits.  A file at the bound passes the check and
+    # reaches the power sums, which stop here; one entry more is refused
+    # before any power sum runs
+    calls = _stop_at_the_power_sums(monkeypatch)
+    what, order = argv[-2], int(argv[-1])
+    entries = 15625
+    bits = MAX_POWER_SUM_BITS // (entries * order)  # 25 at --kmax 256, 100 at --k-cap 64
+    assert entries * bits * order == MAX_POWER_SUM_BITS
     path = tmp_path / "wide.spectrum"
-    for entries, message, runs in [
-        (MAX_TPQR_MU + 1, "(entries of the spectrum file) * --k", 0),
-        (MAX_TPQR_MU, "power sums reached", 1),
+    for count, message, runs in [
+        (entries + 1, f"(entries * bits of the centered spectrum) * {what} = {(entries + 1) * bits} * {order}", 0),
+        (entries, "power sums reached", 1),
     ]:
-        _mirrored_spectrum_file(path, entries)
+        _mirrored_spectrum_file(path, count, bits)
         code, out, err = run(capsys, argv[0], "--spectrum-file", str(path), *argv[1:])
         assert_one_error_line(code, out, err)
         assert message in err and len(calls) == runs
+
+
+def test_spectrum_file_record_lines_are_capped(tmp_path, capsys, monkeypatch):
+    # the record lines are counted before any value is parsed, so that the
+    # work that does not shrink with the order is bounded too: a file of
+    # MAX_DENSE_LENGTH of them, as many as any spectrum qh or curve output
+    # has, is parsed; one more is refused as an error of --spectrum-file
+    from bermoments import spectra
+
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        raise ValueError("parsed")
+
+    monkeypatch.setattr(spectra.Spectrum, "from_text", parse)
+    path = tmp_path / "long.spectrum"
+    for records, says, runs in [
+        (MAX_DENSE_LENGTH + 1, f"{MAX_DENSE_LENGTH + 1} record lines are above the cap of {MAX_DENSE_LENGTH}", 0),
+        (MAX_DENSE_LENGTH, "parsed", 1),
+    ]:
+        path.write_text("# not a record\n\nn 1\n" + "alpha 0 mult 1\n" * (records - 1))
+        code, out, err = run(capsys, "gamma", "--nu", "1", "--kmax", "0", "--spectrum-file", str(path))
+        assert_one_error_line(code, out, err)
+        assert err.startswith("error: argument --spectrum-file:") and says in err and len(parsed) == runs
+
+
+def test_chi_entries_are_capped_against_the_order(capsys, monkeypatch):
+    # --chi feeds the same power sums: n = 62499 gives 62500 entries of 16
+    # bits (scale 2, largest numerator n), at the bound at --kmax 100
+    calls = _stop_at_the_power_sums(monkeypatch)
+    chi = "--chi=" + ",".join(["1"] * 62500)
+    assert 62500 * 16 * 100 == MAX_POWER_SUM_BITS
+    for kmax, message, runs in [
+        (101, "(entries * bits of the centered chi vector) * --kmax = 1000000 * 101", 0),
+        (100, "power sums reached", 1),
+    ]:
+        code, out, err = run(capsys, "manifold", chi, "--nu", "1", "--kmax", str(kmax))
+        assert_one_error_line(code, out, err)
+        assert message in err and len(calls) == runs
+
+
+def test_large_denominators_are_refused_before_their_lcm(tmp_path, capsys):
+    # the scale is built only until it alone is above a cap: 200 pairs of
+    # distinct 4000-digit denominators took 44 s in that lcm at --kmax 1;
+    # --kmax 0 counts as 1, since the power sums form the scale at any order
+    path = tmp_path / "deep.spectrum"
+    lines = ["n 1"]
+    for i in range(200):
+        denominator = 10**3999 + 2 * i + 1
+        lines += [f"alpha -1/{denominator} mult 1", f"alpha 1/{denominator} mult 1"]
+    path.write_text("\n".join(lines) + "\n")
+    for kmax in ("0", "1"):
+        code, out, err = run(capsys, "gamma", "--nu", "1", "--kmax", kmax, "--spectrum-file", str(path))
+        assert_one_error_line(code, out, err)
+        assert "(bits of the centered spectrum) * --kmax" in err and "* 1 =" in err
+
+
+def test_chern_file_missing_a_partition_is_refused(tmp_path, capsys):
+    # the format has one value per partition of n; a file that lacks one is
+    # refused as an error of --file, whatever --kmax the expansion would reach
+    path = tmp_path / "partial.chern"
+    path.write_text("n 2\npartition 2 value 3\n")
+    for kmax in ("0", "1"):
+        code, out, err = run(capsys, "manifold", "chern", "--file", str(path), "--nu", "0", "--kmax", kmax)
+        assert_one_error_line(code, out, err)
+        assert err.startswith("error: argument --file:")
+        assert "missing Chern number for partition (1, 1)" in err
+
+
+def test_key_error_is_printed_without_quotes(capsys, monkeypatch):
+    # a partial ChernData built in the library fails lazily with a KeyError,
+    # whose str() would quote its message
+    from bermoments import chern
+
+    expand = chern.bernoulli_moments_from_chern
+    partial = chern.ChernData(2, {(2,): 24})
+    monkeypatch.setattr(chern, "bernoulli_moments_from_chern", lambda data, nu, kmax: expand(partial, nu, kmax))
+    code, out, err = run(capsys, "manifold", "chern", "--builtin", "k3", "--nu", "0", "--kmax", "1")
+    assert (code, out, err) == (2, "", "error: missing Chern number for partition (1, 1)\n")
+
+
+def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys, monkeypatch):
+    # moments.gamma_of is the one nu-entry of every command: the power sums
+    # of the source run once, and no raw series is built or transformed
+    from bermoments import moments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command left the power-sum route")
+
+    originals = (moments.bernoulli_moments, moments.moments_of_spectrum, moments.moments_of_chi)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bermoments"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    calls = []
+    power_sums = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda *args: calls.append(args) or power_sums(*args))
+    path = tmp_path / "t237.spectrum"
+    path.write_text(run(capsys, "spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7")[1])
+    argvs = [("manifold", "--chi=2,-20,2", "--nu", "7/3", "--kmax", "30")]
+    for source in (("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23"), ("--spectrum-file", str(path))):
+        for command, *rest in (
+            ("gamma", "--nu", "5/2", "--kmax", "30"),
+            ("check", "--mode", "W", "--kmax", "30"),
+            ("trace", "--nu", "3/2", "--kmax", "20"),
+            ("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "8", "--k-cap", "8"),
+        ):
+            argvs.append((command, *source, *rest))
+    for argv in argvs:
+        calls.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out and len(calls) == 1, argv
 
 
 def test_manifold_chern_reads_every_k_from_one_expansion(capsys):

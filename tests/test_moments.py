@@ -40,7 +40,7 @@ from bermoments import (
     TpqrParams,
 )
 from bermoments.bernpoly import _zero_values
-from bermoments.moments import _qh_gamma
+from bermoments.moments import _qh_gamma, gamma_of
 from bermoments.polynomials import MPoly
 from bermoments.series import _even_mul
 
@@ -616,12 +616,12 @@ class TestEvenValueTransform:
     @given(v=raw_series(), nu=LARGE_NUS)
     @settings(max_examples=60, deadline=None)
     def test_integer_transform_matches_both_oracles(self, v, nu):
-        # the transform runs on N_k, sigma and q = nu.denominator in integers;
-        # it must give what the rational multiply and the t-series give
+        # the rows run by Horner's rule in 4q, q = nu.denominator; they must
+        # give what the rational multiply and the t-series give
         gamma = bernoulli_moments(v, nu)
         assert gamma.values == _even_mul(v.values, _zero_values(v.order, nu))
         assert gamma.series == t_series_transform(v, nu)
-        # the integer form is no field: a series rebuilt from its values is equal
+        # a raw series is its values: one rebuilt from them is equal
         rebuilt = MomentSeries(v.values, v.order, None)
         assert rebuilt == v and hash(rebuilt) == hash(v) and repr(rebuilt) == repr(v)
         assert bernoulli_moments(rebuilt, nu) == gamma
@@ -633,11 +633,20 @@ class TestEvenValueTransform:
     )
     @settings(max_examples=40, deadline=None)
     def test_raw_series_without_integer_form(self, values, nu, order):
-        # a series built from its values has no N_k, unit and sigma: its
+        # bernoulli_moments reads a raw series from its values alone: its
         # Fraction values are summed as N_k with unit = sigma = 1
         v = MomentSeries(values[: order // 2 + 1], order, None)
-        assert not hasattr(v, "_integers")
         assert bernoulli_moments(v, nu).values == _even_mul(v.values, _zero_values(order, nu))
+
+    @given(source=st.one_of(small_spectra(), chi_vectors()), nu=LARGE_NUS, order=st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_gamma_of_matches_the_transform_of_the_values(self, source, nu, order):
+        # two routes: the integer power sums of the source, and the Fraction
+        # values of its raw series
+        moments_of = moments_of_chi if isinstance(source, ChiVector) else moments_of_spectrum
+        gamma = gamma_of(source, order)(nu)
+        assert gamma == bernoulli_moments(moments_of(source, order), nu)
+        assert gamma.nu == nu and gamma.order == order
 
     @given(ws=weight_products(), nu=ONE_EXP_NUS, order=st.integers(0, 24))
     @settings(max_examples=60, deadline=None)

@@ -62,3 +62,20 @@ def test_caps_are_their_constants():
         assert all(int(also) == value for also in re.findall(r"\d+", equal)), name
     caps = {name for name in vars(cli) if name.startswith("MAX_")}
     assert caps <= set(re.findall(r"`cli\.(MAX_\w+)`", README))
+
+
+def test_named_references_resolve():
+    # every `module.name` the README names, bare or called, is an attribute
+    # of that bermoments module, so a renamed or moved name fails here
+    import importlib
+    import pkgutil
+
+    import bermoments
+
+    modules = {"bermoments": bermoments}
+    for info in pkgutil.iter_modules(bermoments.__path__):
+        modules[info.name] = importlib.import_module(f"bermoments.{info.name}")
+    named = {ref for ref in re.findall(r"`(\w+)\.(\w+)[`(]", README) if ref[0] in modules}
+    assert len(named) >= 24
+    for module, name in sorted(named):
+        assert hasattr(modules[module], name), f"{module}.{name}"

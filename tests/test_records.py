@@ -16,7 +16,16 @@ from bermoments import (
     TpqrParams,
     TruncatedSeries,
     WeightSystem,
+    bernoulli_moments,
+    check_conjecture,
+    gamma_k3_closed,
+    gamma_qh_product_spread,
+    moments_of_chi,
+    moments_of_spectrum,
+    moments_qh_product,
+    spectrum_tpqr,
 )
+from bermoments.moments import gamma_of
 
 # (class, constructor arguments by keyword, the repr of that instance, the
 # arguments of an instance that differs in one field)
@@ -83,6 +92,31 @@ def test_record_behaves_as_a_frozen_dataclass(index):
         cls(*kwargs.values(), None)
     with pytest.raises(TypeError):
         cls(**kwargs, no_such_field=1)
+
+
+def test_records_hold_only_their_fields():
+    # a frozen record carries its fields and nothing else, whichever route
+    # built it: no hidden attribute rides along beside the fields
+    cusp = WeightSystem((F(1, 3), F(1, 2)))
+    spectrum, chi = spectrum_tpqr(TpqrParams(2, 3, 7)), ChiVector((2, 20, 2))
+    v = moments_of_spectrum(spectrum, 6)
+    records = [cls(**kwargs) for cls, kwargs, _, _ in CASES] + [
+        MomentSeries.from_series(TruncatedSeries((1, 0, F(1, 2)))),
+        v,
+        moments_of_chi(chi, 6),
+        moments_qh_product(cusp, 6),
+        bernoulli_moments(v, F(5, 3)),
+        v * v,
+        gamma_of(spectrum, 6)(2),
+        gamma_of(chi, 6)(2),
+        gamma_of(cusp, 6)(F(1, 3)),
+        gamma_k3_closed(6),
+        gamma_qh_product_spread(cusp, 6),
+        check_conjecture(spectrum, "W", 3),
+        spectrum,
+    ]
+    for record in records:
+        assert set(vars(record)) == set(type(record).__match_args__), record
 
 
 @pytest.mark.parametrize(
