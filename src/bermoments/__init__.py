@@ -35,17 +35,7 @@ def _fraction(text: str):
 
 # module -> the public names it exports here
 _EXPORTS = {
-    "bernpoly": (
-        "centered_bernoulli_at_zero",
-        "centered_bernoulli_poly",
-        "centered_bernoulli_value",
-        "cos_scaled_value",
-        "fourier_partial_sum",
-        "generalized_bernoulli_value",
-        "periodize",
-        "sin_scaled_value",
-        "verify_multiplication_formula",
-    ),
+    "bernpoly": ("centered_bernoulli_at_zero", "centered_bernoulli_poly", "centered_bernoulli_value"),
     "chern": (
         "ChernData",
         "bernoulli_moment_from_chern",
@@ -55,55 +45,48 @@ _EXPORTS = {
         "chern_data_genus",
         "chern_data_k3",
         "chern_data_pn",
-        "chern_moment_poly",
         "moment_from_chern",
-        "power_sum_in_elementary",
     ),
-    "harness": (
-        "ConjectureReport",
-        "check_conjecture",
-        "conjecture_nu",
-        "nu_threshold",
-        "trace_convergence",
-        "trace_limit",
-    ),
-    "moments": (
-        "ChiVector",
-        "MomentSeries",
+    "harness": ("ConjectureReport", "check_conjecture", "conjecture_nu", "nu_threshold", "trace_convergence"),
+    "kernels": ("DEFAULT_ORDER", "bernoulli_numbers"),
+    "moments": ("ChiVector", "MomentSeries"),
+    # the second routes, which no command loads
+    "oracles": (
+        "abstract_spectrum",
         "bernoulli_moment_direct",
         "bernoulli_moments",
+        "chern_moment_poly",
+        "cos_scaled_value",
+        "fourier_partial_sum",
         "gamma_genus_closed",
         "gamma_k3_closed",
         "gamma_pn_closed",
         "gamma_qh_product_nplus1",
         "gamma_qh_product_spread",
         "gamma_tpqr_closed",
+        "generalized_bernoulli_value",
         "moments_of_chi",
         "moments_of_spectrum",
         "moments_qh_product",
+        "periodize",
+        "power_sum_in_elementary",
         "q_exponent_poly",
         "q_factor_series",
+        "sin_scaled_value",
+        "thom_sebastiani",
+        "trace_limit",
+        "verify_multiplication_formula",
     ),
     "polynomials": ("MPoly",),
-    "series": (
-        "DEFAULT_ORDER",
-        "Rational",
-        "TruncatedSeries",
-        "bernoulli_numbers",
-        "exp_linear",
-        "sinhc_half",
-        "theta_series",
-    ),
+    "series": ("Rational", "TruncatedSeries", "exp_linear", "sinhc_half", "theta_series"),
     "spectra": (
         "PuiseuxData",
         "Spectrum",
         "TpqrParams",
         "WeightSystem",
-        "abstract_spectrum",
         "spectrum_curve",
         "spectrum_from_weights",
         "spectrum_tpqr",
-        "thom_sebastiani",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

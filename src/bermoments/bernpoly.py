@@ -17,18 +17,19 @@ symbolic nu; the tests run the exp at a rational nu as the recurrence's oracle.
 
 Exact polynomial generation stays in Fraction arithmetic; an exact value at
 rational x and nu is one integer sum over one denominator.
-Floating point appears only in the asymptotic normalizers (which converge
-to cosine and sine waves as k grows) and in the Fourier partial sums of the
-periodized polynomials.
+Floating point appears only in the asymptotic normalizer of the trace
+sequence, under which the even values converge to cosine waves as k grows.
+Norlund's form, the sine normalizer, the Fourier partial sums and the
+multiplication identity are oracles, in :mod:`bermoments.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
-from .series import _binomial_row, _dot, _even_exp, _theta_values
+from .kernels import _binomial_row, _dot, _even_exp, _scaled_zero_values, _theta_values
 
 X = "x"
 NU = "nu"
@@ -49,37 +50,6 @@ def _zero_values(k: int, nu) -> tuple:
         return _exp_zero_values(k, nu)
     numerators, common = _scaled_zero_values(k, nu.numerator, nu.denominator)
     return tuple(Fraction(h, common * (4 * nu.denominator) ** j) for j, h in enumerate(numerators))
-
-
-def _scaled_zero_values(k: int, p: int, q: int) -> tuple:
-    """(numerators, common denominator) of h_j = (4q)^j A_2j(0, p/q) for 2j <= k.
-
-    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) for
-    s^(-p/q), s = sinh(t/2)/(t/2), gives, with no Bernoulli number,
-
-        m (2m+1) h_m = sum_(j=1..m) C(2m+1, 2j+1) ((q-p) j - q m) q^(j-1) h_(m-j),
-
-    for integers p and q >= 1.  The h's are held as integer numerators over
-    the running lcm of their denominators, rescaled only when a row brings a
-    new factor, and each row is one integer sum by Horner's rule in q, so no
-    power of q multiplies a big numerator.  A lower k gives a prefix of the
-    values; :func:`_exp_zero_values` is the oracle.
-    """
-    numerators, common = [1], 1
-    for m in range(1, k // 2 + 1):
-        row = _binomial_row(2 * m + 1)
-        total = 0
-        for j in range(m, 0, -1):
-            total = total * q + row[2 * j + 1] * ((q - p) * j - q * m) * numerators[m - j]
-        divisor = m * (2 * m + 1) * common
-        g = gcd(total, divisor)
-        total, divisor = total // g, divisor // g
-        grow = divisor // gcd(common, divisor)
-        if grow > 1:
-            numerators = [h * grow for h in numerators]
-            common *= grow
-        numerators.append(total * (common // divisor))
-    return numerators, common
 
 
 def _exp_zero_values(k: int, nu) -> tuple:
@@ -150,21 +120,6 @@ def centered_bernoulli_value(k: int, x, nu) -> Fraction:
     return Fraction(total, common * (4 * q) ** (k // 2) * b**k)
 
 
-def generalized_bernoulli_value(k: int, nu, x) -> Fraction:
-    """Norlund's B_k^(nu)(x) = A_k(x - nu/2, nu), exactly."""
-    nu = Fraction(nu)
-    return centered_bernoulli_value(k, Fraction(x) - nu / 2, nu)
-
-
-def periodize(x):
-    """Reduce x to the period interval (-1/2, 1/2], exactly for Fractions."""
-    half = Fraction(1, 2) if isinstance(x, (Fraction, int)) else 0.5
-    y = x - math.floor(x + half)
-    if y == -half:
-        y = half
-    return y
-
-
 def _log_abs(value: Fraction) -> float:
     # math.log handles arbitrarily large ints, so this never overflows
     return math.log(abs(value.numerator)) - math.log(value.denominator)
@@ -211,76 +166,3 @@ def scaled_to_cosine(value: Fraction, k: int, nu: float) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     return _log_scaled(value, 2 * k, nu, (-1) ** k)
-
-
-def cos_scaled_value(k: int, x, nu) -> float:
-    """The cosine-normalized even value; tends to cos(2*pi*x) as k grows."""
-    exact = centered_bernoulli_value(2 * k, Fraction(x), Fraction(nu))
-    return scaled_to_cosine(exact, k, float(nu))
-
-
-def sin_scaled_value(k: int, x, nu) -> float:
-    """Odd-index analogue of :func:`cos_scaled_value`; tends to sin(2*pi*x).
-
-    Normalizes A_(2k-1)(x, nu) by (-1)^(k-1) (2pi)^(2k-1) Gamma(nu) /
-    (2 (2k-1)! (2k-1)^(nu-1)).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    exact = centered_bernoulli_value(2 * k - 1, Fraction(x), Fraction(nu))
-    return _log_scaled(exact, 2 * k - 1, float(nu), (-1) ** (k - 1))
-
-
-def fourier_partial_sum(k: int, x: float, terms: int) -> float:
-    """Partial Fourier sum of the 1-periodic extension of A_k(., 1).
-
-    The periodization f_k agrees with A_k(x, 1) on (-1/2, 1/2].  Its Fourier
-    series has harmonics (-1)^n / n^k against cos(2 pi n x) for even k and
-    sin(2 pi n x) for odd k; uniform convergence needs k >= 2.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    two_pi = 2 * math.pi
-    if k % 2 == 0:
-        sign = (-1) ** (k // 2 - 1)
-        trig = math.cos
-    else:
-        sign = (-1) ** ((k + 1) // 2)
-        trig = math.sin
-    acc = 0.0
-    for n in range(1, terms + 1):
-        acc += ((-1) ** n / n**k) * trig(two_pi * n * x)
-    return sign * 2 * math.factorial(k) / two_pi**k * acc
-
-
-def verify_multiplication_formula(k: int, nu: int, shift: int = 0) -> bool:
-    """Check the order-reduction identity for integer nu >= 1 and k >= nu.
-
-    It writes A_k(x, nu) through the lower polynomials A_j(x, nu), j < nu,
-    paired with one-parameter polynomials evaluated at x + (nu-1)/2 - shift:
-
-        A_k(x, nu) = C(k-1, nu-1) * sum_j (-1)^(nu-1-j) C(nu-1, j)
-                     * k/(k-j) * A_j(x, nu) * A_(k-j)(x + (nu-1)/2 - shift, 1)
-
-    Any shift in 0..nu-1 leaves the identity valid.  Returns True iff it
-    holds as an exact polynomial identity in x.
-    """
-    if nu < 1 or k < nu:
-        raise ValueError("need integer nu >= 1 and k >= nu")
-    if not 0 <= shift <= nu - 1:
-        raise ValueError("shift must lie in 0..nu-1")
-    from .polynomials import MPoly
-
-    x = MPoly.var(X)
-    lhs = centered_bernoulli_poly(k).subs({NU: nu})
-    rhs = MPoly()
-    for j in range(nu):
-        left = centered_bernoulli_poly(j).subs({NU: nu})
-        moved = centered_bernoulli_poly(k - j).subs(
-            {NU: 1, X: x + Fraction(nu - 1, 2) - shift}
-        )
-        rhs = rhs + (-1) ** (nu - 1 - j) * comb(nu - 1, j) * Fraction(k, k - j) * left * moved
-    rhs = comb(k - 1, nu - 1) * rhs
-    return lhs == rhs

@@ -12,6 +12,10 @@ and in particular V_2k is the value at nu = 0.  The construction goes
 through a Todd-like exponential with symmetric-polynomial coefficients and
 a twist by exp(-nu * theta); all intermediate polynomials are stable in the
 number m of variables once their weighted degree is at most m.
+
+The commands integrate the weight-j parts of that expansion against the
+Chern numbers directly; the q_kj themselves, as MPoly, are oracles in
+:mod:`bermoments.oracles`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .series import _theta_values
+from .kernels import _theta_values
 
 # A symmetric polynomial in y_1, y_2, ... is kept as a dict from partitions
 # (descending tuples) to coefficients: the key (2, 1, 1) stands for
@@ -44,17 +48,6 @@ def _mul_into(out: dict, a: dict, b, cap: int):
                 out[key] = out[key] + x * y if key in out else x * y
 
 
-def _as_mpoly(graded: dict, weight: int) -> MPoly:
-    """The weight-`weight` part of a partition-keyed polynomial as an MPoly in the y_i."""
-    from .polynomials import MPoly
-
-    total = MPoly()
-    for lam, value in graded.items():
-        if sum(lam) == weight:
-            total = total + value * prod(MPoly.var(f"y{p}") for p in lam)
-    return total
-
-
 @lru_cache(maxsize=256)
 def _power_sum(r: int, m: int) -> tuple:
     """p_r(x_1..x_m) in the elementary symmetric y_i, as (partition of r, coefficient) pairs.
@@ -66,26 +59,6 @@ def _power_sum(r: int, m: int) -> tuple:
     for i in range(1, min(r - 1, m) + 1):
         _mul_into(out, {(i,): (-1) ** (i - 1)}, _power_sum(r - i, m), r)
     return tuple((key, c) for key, c in out.items() if c)
-
-
-def power_sum_in_elementary(r: int, m: int) -> MPoly:
-    """The power sum p_r(x_1..x_m) written in the elementary symmetric y_i."""
-    if r < 1 or m < 1:
-        raise ValueError("need r >= 1 and m >= 1")
-    return _as_mpoly(dict(_power_sum(r, m)), r)
-
-
-def shift_difference_poly(k: int, j: int, m: int) -> MPoly:
-    """Coefficient of t^j in sum_i (x_i^2k - (x_i - t)^2k + t^2k), in the y_i.
-
-    Equals (-1)^(j+1) C(2k, j) p_(2k-j); quasihomogeneous of weighted degree
-    2k - j, and independent of m once 2k - j <= m.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 1 <= j <= 2 * k - 1:
-        raise ValueError("j must lie in 1..2k-1")
-    return (-1) ** (j + 1) * comb(2 * k, j) * power_sum_in_elementary(2 * k - j, m)
 
 
 def _twisted_series(m: int, t_order: int, cap: int, nu) -> tuple:
@@ -117,46 +90,6 @@ def _twisted_series(m: int, t_order: int, cap: int, nu) -> tuple:
             _mul_into(acc, slope[j], coeffs[k - j].items(), cap)
         coeffs.append({key: value / k for key, value in acc.items() if value})
     return tuple(coeffs)
-
-
-def todd_factor_poly(k: int, l: int, m: int) -> MPoly:
-    """b_kl: the weight-l part of the t^k coefficient of the Todd exponential."""
-    if k < 1 or l < 1:
-        raise ValueError("need k >= 1 and l >= 1")
-    return _as_mpoly(_twisted_series(m, k, l, 0)[k], l)
-
-
-def twisted_todd_poly(k: int, l: int, m: int) -> MPoly:
-    """c_kl: like :func:`todd_factor_poly` but twisted by exp(-nu * theta).
-
-    c_k0 = A_k(0, -nu)/k! and c_0l = 0 for l >= 1; for k, l >= 1 it equals
-    sum_j A_j(0, -nu)/j! * b_(k-j),l.
-    """
-    from .polynomials import MPoly
-
-    if k < 0 or l < 0:
-        raise ValueError("need k >= 0 and l >= 0")
-    return _as_mpoly(_twisted_series(m, k, l, MPoly.var("nu"))[k], l)
-
-
-def d_poly(k: int, j: int, m: int) -> MPoly:
-    """k! (-1)^j c_(k-j),j: the bookkeeping polynomials of the construction."""
-    if k < 1 or not 0 <= j <= k - 1:
-        raise ValueError("need k >= 1 and 0 <= j <= k-1")
-    return factorial(k) * (-1) ** j * twisted_todd_poly(k - j, j, m)
-
-
-def chern_moment_poly(k: int, j: int) -> MPoly:
-    """q_kj(nu, y_1..y_j): the universal Chern-number coefficient polynomial.
-
-    Quasihomogeneous of weighted degree j in the y_i; the nu-degree is k for
-    j = 0 and at most k - 1 - floor(j/2) otherwise.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0 <= j <= 2 * k - 1:
-        raise ValueError("j must lie in 0..2k-1")
-    return d_poly(2 * k, j, j if j >= 1 else 1)
 
 
 class ChernData:

@@ -31,6 +31,8 @@ MAX_CHERN_KMAX = 24  # --kmax of manifold chern
 MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
+# characters of a --spectrum-file or chern --file; the longest spectrum qh output found has 6.02 * 10^7
+MAX_FILE_CHARS = 2**26
 
 # Joint caps on the bits of a rational argument (of its larger term), or of the
 # centered pairs of a --spectrum-file or --chi, times its order, since row k
@@ -51,10 +53,6 @@ def _bits(value) -> int:
 def _check_bits(bits: int, size: int, what: str, cap: int):
     if bits * size > cap:
         raise ValueError(f"{what} = {bits} * {size} = {bits * size} is above the cap of {cap}")
-
-
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _type_error(parse):
@@ -125,7 +123,10 @@ def _parse_puiseux(text: str) -> tuple:
 
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        text = handle.read(MAX_FILE_CHARS + 1)  # no more of the file is read
+    if len(text) > MAX_FILE_CHARS:
+        raise ValueError(f"the file holds more than the cap of {MAX_FILE_CHARS} characters")
+    return text
 
 
 @_type_error
@@ -223,72 +224,70 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every sub-command or, given argv, with the arguments of the one it names only."""
+    # every sub-command keeps its help line, so --help and usage errors read the same either
+    # way; argparse takes the first word not led by '-' as the sub-command, since no option
+    # before it takes a value
     parser = _Parser(
         prog="bermoments",
         description="Exact spectra, Bernoulli moments, and sign-conjecture checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((word for word in argv if word[:1] != "-"), None)
 
-    p = sub.add_parser("bernoulli", help="print Bernoulli numbers B_0..B_{N-1}")
-    p.add_argument("--count", type=_at_most(MAX_ORDER, 1), required=True)
+    def command(name: str, text: str):
+        p = sub.add_parser(name, help=text)
+        return p if argv is None or name == named else None
 
-    p = sub.add_parser("theta", help="Taylor coefficients of log((t/2)/sinh(t/2))")
-    p.add_argument("--order", type=_at_most(MAX_ORDER), required=True)
-
-    p = sub.add_parser("apoly", help="centered generalized Bernoulli polynomial")
-    p.add_argument("--k", type=_at_most(MAX_APOLY_K), required=True)
-    p.add_argument("--x", type=_parse_fraction)
-    p.add_argument("--nu", type=_parse_fraction)
-
-    p = sub.add_parser("spectrum", help="construct a spectrum and print it")
-    spectrum_sub = p.add_subparsers(dest="kind", required=True)
-    p_qh = spectrum_sub.add_parser("qh", help="quasihomogeneous, from weights")
-    p_qh.add_argument("--weights", type=_parse_weights, required=True)
-    p_tpqr = spectrum_sub.add_parser("tpqr", help="hyperbolic T_{p,q,r}")
-    p_tpqr.add_argument("--p", type=int, required=True)
-    p_tpqr.add_argument("--q", type=int, required=True)
-    p_tpqr.add_argument("--r", type=int, required=True)
-    p_curve = spectrum_sub.add_parser("curve", help="irreducible plane curve branch")
-    p_curve.add_argument("--puiseux", type=_parse_puiseux, required=True)
-
-    p = sub.add_parser("gamma", help="Bernoulli moments of a spectrum")
-    _add_spectrum_source(p)
-    nu_source = p.add_mutually_exclusive_group(required=True)
-    nu_source.add_argument("--nu", type=_parse_fraction, help="transform parameter")
-    nu_source.add_argument("--mode", choices=("W", "S"), help="use nu = n+1 (W) or the spread (S)")
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
-
-    p = sub.add_parser("check", help="verify the sign conjecture on a spectrum")
-    _add_spectrum_source(p)
-    p.add_argument("--mode", choices=("W", "S"), required=True)
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
-
-    p = sub.add_parser("trace", help="cosine-normalized moment sequence")
-    _add_spectrum_source(p)
-    p.add_argument("--nu", type=_parse_fraction, required=True)
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX, 1), required=True)
-
-    p = sub.add_parser("nu-threshold", help="bisect the smallest admissible nu")
-    _add_spectrum_source(p)
-    p.add_argument("--k", type=_at_most(MAX_THRESHOLD_K), required=True)
-    p.add_argument("--nu-hi", type=_parse_fraction, required=True)
-    p.add_argument("--steps", type=_at_most(MAX_STEPS, 1), required=True)
-    p.add_argument("--k-cap", type=_at_most(MAX_THRESHOLD_K))
-
-    p = sub.add_parser("manifold", help="moments of a compact complex manifold")
-    # the chern subcommand has its own --nu and --kmax, so these keep their own dests
-    p.add_argument("--chi", type=_parse_chi, help="comma-separated chi_0..chi_n, e.g. 2,20,2")
-    p.add_argument("--nu", type=_parse_fraction, dest="chi_nu", metavar="NU")
-    p.add_argument("--kmax", type=_at_most(MAX_KMAX), dest="chi_kmax", metavar="KMAX")
-    manifold_sub = p.add_subparsers(dest="mode")
-    p_chern = manifold_sub.add_parser("chern", help="from Chern numbers")
-    chern_source = p_chern.add_mutually_exclusive_group(required=True)
-    chern_source.add_argument("--builtin", type=_parse_builtin, help="pn:N, k3 or genus:G")
-    chern_source.add_argument("--file", type=_parse_chern_file, help="Chern number file")
-    p_chern.add_argument("--nu", type=_parse_fraction, required=True)
-    p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
-
+    if p := command("bernoulli", "print Bernoulli numbers B_0..B_{N-1}"):
+        p.add_argument("--count", type=_at_most(MAX_ORDER, 1), required=True)
+    if p := command("theta", "Taylor coefficients of log((t/2)/sinh(t/2))"):
+        p.add_argument("--order", type=_at_most(MAX_ORDER), required=True)
+    if p := command("apoly", "centered generalized Bernoulli polynomial"):
+        p.add_argument("--k", type=_at_most(MAX_APOLY_K), required=True)
+        p.add_argument("--x", type=_parse_fraction)
+        p.add_argument("--nu", type=_parse_fraction)
+    if p := command("spectrum", "construct a spectrum and print it"):
+        spectrum_sub = p.add_subparsers(dest="kind", required=True)
+        p_qh = spectrum_sub.add_parser("qh", help="quasihomogeneous, from weights")
+        p_qh.add_argument("--weights", type=_parse_weights, required=True)
+        p_tpqr = spectrum_sub.add_parser("tpqr", help="hyperbolic T_{p,q,r}")
+        for side in ("--p", "--q", "--r"):
+            p_tpqr.add_argument(side, type=int, required=True)
+        p_curve = spectrum_sub.add_parser("curve", help="irreducible plane curve branch")
+        p_curve.add_argument("--puiseux", type=_parse_puiseux, required=True)
+    if p := command("gamma", "Bernoulli moments of a spectrum"):
+        _add_spectrum_source(p)
+        nu_source = p.add_mutually_exclusive_group(required=True)
+        nu_source.add_argument("--nu", type=_parse_fraction, help="transform parameter")
+        nu_source.add_argument("--mode", choices=("W", "S"), help="use nu = n+1 (W) or the spread (S)")
+        p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
+    if p := command("check", "verify the sign conjecture on a spectrum"):
+        _add_spectrum_source(p)
+        p.add_argument("--mode", choices=("W", "S"), required=True)
+        p.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
+    if p := command("trace", "cosine-normalized moment sequence"):
+        _add_spectrum_source(p)
+        p.add_argument("--nu", type=_parse_fraction, required=True)
+        p.add_argument("--kmax", type=_at_most(MAX_KMAX, 1), required=True)
+    if p := command("nu-threshold", "bisect the smallest admissible nu"):
+        _add_spectrum_source(p)
+        p.add_argument("--k", type=_at_most(MAX_THRESHOLD_K), required=True)
+        p.add_argument("--nu-hi", type=_parse_fraction, required=True)
+        p.add_argument("--steps", type=_at_most(MAX_STEPS, 1), required=True)
+        p.add_argument("--k-cap", type=_at_most(MAX_THRESHOLD_K))
+    if p := command("manifold", "moments of a compact complex manifold"):
+        # the chern subcommand has its own --nu and --kmax, so these keep their own dests
+        p.add_argument("--chi", type=_parse_chi, help="comma-separated chi_0..chi_n, e.g. 2,20,2")
+        p.add_argument("--nu", type=_parse_fraction, dest="chi_nu", metavar="NU")
+        p.add_argument("--kmax", type=_at_most(MAX_KMAX), dest="chi_kmax", metavar="KMAX")
+        p_chern = p.add_subparsers(dest="mode").add_parser("chern", help="from Chern numbers")
+        chern_source = p_chern.add_mutually_exclusive_group(required=True)
+        chern_source.add_argument("--builtin", type=_parse_builtin, help="pn:N, k3 or genus:G")
+        chern_source.add_argument("--file", type=_parse_chern_file, help="Chern number file")
+        p_chern.add_argument("--nu", type=_parse_fraction, required=True)
+        p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
     return parser
 
 
@@ -300,7 +299,7 @@ def _print_rows(values) -> int:
 
 
 def _cmd_bernoulli(args) -> int:
-    from .series import bernoulli_numbers
+    from .kernels import bernoulli_numbers
 
     for value in bernoulli_numbers(args.count):
         print(value)
@@ -361,8 +360,7 @@ def _cmd_gamma(args) -> int:
     nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
     _check_nu_bits(nu, args.kmax)
     _check_source(args.spectrum_file, "spectrum", args.kmax)
-    gamma = gamma_of(spectrum, 2 * args.kmax)(nu)
-    return _print_rows(gamma.moment(2 * k) for k in range(args.kmax + 1))
+    return _print_rows(gamma_of(spectrum, 2 * args.kmax)(nu).values)
 
 
 def _cmd_check(args) -> int:
@@ -384,9 +382,8 @@ def _cmd_trace(args) -> int:
     _check_nu_bits(args.nu, args.kmax)
     _check_source(args.spectrum_file, "spectrum", args.kmax)
     spectrum = _spectrum_from_args(args)
-    values = trace_convergence(spectrum, args.nu, args.kmax)
-    for k, value in enumerate(values, start=1):
-        print(f"{k}\t{_fmt_float(value)}")
+    for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax), start=1):
+        print(f"{k}\t{value:.12g}")
     return 0
 
 
@@ -398,8 +395,7 @@ def _cmd_nu_threshold(args) -> int:
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
     _check_source(args.spectrum_file, "spectrum", k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
-    estimate = nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap)
-    print(estimate)
+    print(nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap))
     return 0
 
 
@@ -418,8 +414,7 @@ def _cmd_manifold(args) -> int:
     _check_source(args.chi, "chi vector", args.chi_kmax)
     from .moments import gamma_of
 
-    gamma = gamma_of(args.chi, 2 * args.chi_kmax)(args.chi_nu)
-    return _print_rows(gamma.moment(2 * k) for k in range(args.chi_kmax + 1))
+    return _print_rows(gamma_of(args.chi, 2 * args.chi_kmax)(args.chi_nu).values)
 
 
 _HANDLERS = {
@@ -436,7 +431,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

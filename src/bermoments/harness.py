@@ -15,20 +15,17 @@ nu-entry of every source; a weight system's spectrum is never built.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
-sum of the centered spectrum, which for a genuine singularity is the signed
-monodromy trace, namely 1.
+sum of the centered spectrum (``oracles.trace_limit``), which for a genuine
+singularity is the signed monodromy trace, namely 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 
 from ._record import record
-from .bernpoly import scaled_to_cosine
 from .moments import gamma_of
-from .series import bernoulli_numbers
 
 
 @record
@@ -129,7 +126,7 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
 
     Entry k is (-1)^k Gamma_2k * (2pi)^2k Gamma(nu) / (2 (2k)! (2k)^(nu-1)),
     computed from the exact rational moment and scaled in the log domain.
-    The sequence approaches :func:`trace_limit`.
+    The sequence approaches ``oracles.trace_limit``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -142,6 +139,8 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
         x = math.inf
     if not 0 < x < math.inf:
         raise ValueError(f"nu must be a positive number within the float range, not {nu}")
+    from .bernpoly import scaled_to_cosine  # here: check and nu-threshold never load bernpoly
+
     gamma = gamma_of(s, 2 * k_max)(nu)
     rows = []
     for k in range(1, k_max + 1):
@@ -150,82 +149,3 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
         except OverflowError:
             raise OverflowError(f"the trace value at k = {k} overflows a float at nu = {nu}") from None
     return rows
-
-
-def trace_limit(s: Spectrum) -> float:
-    """sum m_j cos(2 pi a_j) over the centered spectrum; 1 for singularities."""
-    return sum(float(m) * math.cos(2 * math.pi * float(a)) for a, m in s.centered())
-
-
-# -- sign mechanics of the curve correction term --------------------------------
-
-
-def _geometric_sum(base: Fraction, terms: int) -> Fraction:
-    total = Fraction(0)
-    power = Fraction(1)
-    for _ in range(terms):
-        total += power
-        power *= base
-    return total
-
-
-def curve_correction_coefficient(k: int, n1: int, n2: int, w1: int, w2: int) -> Fraction:
-    """2k-th Bernoulli moment of the curve correction block, directly.
-
-    The block is (P_(w2) - P_(w1*n1*n2)) * P_(n2) in the generating-function
-    picture, with P_m the geometric block of denominator m, transformed at
-    nu = 2.  The double sum below is its coefficient formula:
-
-      sum_i C(2k,2i) B_2i B_2(k-i) ((w1 n1 n2)^(1-2i) - w2^(1-2i))
-                                   (1 - n2^(1-2(k-i)))
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bern = bernoulli_numbers(2 * k + 1)
-    a = Fraction(w1 * n1 * n2)
-    total = Fraction(0)
-    for i in range(k + 1):
-        total += (
-            comb(2 * k, 2 * i)
-            * bern[2 * i]
-            * bern[2 * (k - i)]
-            * (a ** (1 - 2 * i) - Fraction(w2) ** (1 - 2 * i))
-            * (1 - Fraction(n2) ** (1 - 2 * (k - i)))
-        )
-    return total
-
-
-def curve_correction_terms(k: int, n1: int, n2: int, w1: int, w2: int) -> list:
-    """The factored form of :func:`curve_correction_coefficient`.
-
-    Returns the list of exact terms whose sum, multiplied by the positive
-    edge determinant delta = w2 - w1*n1*n2 and by n2 - 1, reproduces the
-    coefficient.  Every term carries the sign (-1)^k, which is what makes
-    the correction compatible with the strict sign prediction.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bern = bernoulli_numbers(2 * k + 1)
-    a = Fraction(w1 * n1 * n2)
-    w2f = Fraction(w2)
-    n2f = Fraction(n2)
-
-    def mixed_sum(i: int) -> Fraction:
-        # sum_{j=0}^{2(i-1)} w2^j * (w1 n1 n2)^(2(i-1)-j)
-        return a ** (2 * (i - 1)) * _geometric_sum(w2f / a, 2 * i - 1)
-
-    terms = [
-        -bern[2 * k] * _geometric_sum(n2f, 2 * k - 1) / n2f ** (2 * k - 1),
-        -bern[2 * k] * mixed_sum(k) / (a * w2f) ** (2 * k - 1),
-    ]
-    for i in range(1, k):
-        terms.append(
-            comb(2 * k, 2 * i)
-            * bern[2 * i]
-            * bern[2 * (k - i)]
-            * mixed_sum(i)
-            / (a * w2f) ** (2 * i - 1)
-            * _geometric_sum(n2f, 2 * (k - i) - 1)
-            / n2f ** (2 * (k - i) - 1)
-        )
-    return terms

@@ -2,9 +2,7 @@
 
 Everything in this package is computed over the rationals; floating point
 enters only in the asymptotic and Fourier evaluators.  The scalar type is
-``fractions.Fraction``, re-exported as ``Rational``.  The Bernoulli numbers
-and the values of theta come from the integer tangent numbers, built anew by
-each call: the module keeps no state.
+``fractions.Fraction``, re-exported as ``Rational``.
 
 A :class:`TruncatedSeries` stores the plain Taylor coefficients c_0..c_N of
 a series known up to and including order N.  Coefficients beyond the order
@@ -12,38 +10,25 @@ are unknown, not zero, so binary operations insist on equal orders instead
 of truncating silently.  The factorial-normalized numbers V_2k = c_2k*(2k)!
 are recovered through :meth:`TruncatedSeries.moment`.
 
-Even series are also handled directly as their factorial-normalized values
-(V_0, V_2, V_4, ...): :func:`_even_mul` and :func:`_even_exp` multiply and
-exponentiate them without ever forming the (2k)! denominators, and sum each
-rational coefficient as integers over one common denominator.  The
-TruncatedSeries operations stay as the general engine and as their oracle.
+The commands run the even-value kernels of :mod:`bermoments.kernels`, which
+multiply and exponentiate even series given by their factorial-normalized
+values; the TruncatedSeries operations stay as the general engine and as
+their oracle.
 
 The coefficient arithmetic is duck typed: besides ``Fraction`` the entries
-may be sparse polynomials (see :mod:`bermoments.polynomials`), which is how
-the symbolic expansions elsewhere in the package are driven by this one
-engine.
+may be sparse polynomials (see :mod:`bermoments.polynomials`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from ._record import record
+from .kernels import _coeff, _theta_values
 
 Rational = Fraction
-
-# Enough precision for Bernoulli moments through k = 10.
-DEFAULT_ORDER = 20
-
-
-def _coeff(value):
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
 
 
 @record
@@ -190,90 +175,6 @@ def exp_linear(a, order: int) -> TruncatedSeries:
     """Truncation of e**(a*t); coefficient k is a**k / k!."""
     exp_t = TruncatedSeries(tuple(Fraction(1, factorial(k)) for k in range(order + 1)))
     return exp_t.scale_arg(Fraction(a))
-
-
-def _tangent_numbers(n: int) -> list:
-    """The tangent numbers T_1 .. T_n (1, 2, 16, 272, ...), in integers.
-
-    Brent and Harvey's in-place recurrence ("Fast computation of Bernoulli,
-    tangent and secant numbers", 2011): T_k = (k-1) T_(k-1), then each pass
-    k = 2..n sets T_j = (j-k) T_(j-1) + (j-k+2) T_j for j = k..n.  Every
-    step multiplies by a small integer, so no fraction is ever formed.
-    """
-    tangent = [1] * n
-    for k in range(1, n):
-        tangent[k] = k * tangent[k - 1]
-    for k in range(1, n):
-        for j in range(k, n):
-            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    return tangent
-
-
-def bernoulli_numbers(count: int) -> list:
-    """B_0 .. B_{count-1}, with B_2k = -2k theta_k from the tangent numbers (:func:`_theta_values`).
-
-    Convention B_1 = -1/2; all odd values beyond B_1 vanish and are stored as 0.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    table = [Fraction(1), Fraction(-1, 2)]
-    for k, theta in enumerate(_theta_values((count + 1) // 2)[1:], start=1):
-        table += [-2 * k * theta, Fraction(0)]
-    return table[:count]
-
-
-def _binomial_row(n: int) -> list:
-    """C(n, 0), C(n, 1), ..., C(n, n); the second half mirrors the first."""
-    row = [1]
-    for i in range(n // 2):
-        row.append(row[-1] * (n - i) // (i + 1))
-    return row + row[: n - n // 2][::-1]
-
-
-def _dot(weights, xs, ys):
-    """sum_i weights[i] * xs[i] * ys[i] for integer weights.
-
-    Rational terms are summed as integers over the lcm of their denominators,
-    so one Fraction is formed per sum rather than one per term.  Other
-    coefficient rings (polynomials) are summed term by term.
-    """
-    if not isinstance(xs[0], (int, Fraction)) or not isinstance(ys[0], (int, Fraction)):
-        return sum((w * x * y for w, x, y in zip(weights, xs, ys)), xs[0] * 0)
-    dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
-    common = lcm(*dens)
-    terms = zip(weights, xs, ys, dens)
-    total = sum(w * x.numerator * y.numerator * (common // d) for w, x, y, d in terms)
-    return Fraction(total, common)
-
-
-def _even_mul(a, b) -> tuple:
-    """Product of two even series given by factorial-normalized values.
-
-    a[k] and b[k] are the coefficients at t^2k times (2k)!, of equal length;
-    so is the result c_2k = sum_j C(2k, 2j) a_2j b_(2k-2j).
-    """
-    return tuple(_dot(_binomial_row(2 * k)[::2], a[: k + 1], b[k::-1]) for k in range(len(a)))
-
-
-def _even_exp(s) -> tuple:
-    """exp of an even series with zero constant term, on factorial-normalized values.
-
-    The moment-cumulant recurrence e_2k = sum_j C(2k-1, 2j-1) s_2j e_(2k-2j)
-    (E' = s'E) needs no division.
-    """
-    e = [s[0] * 0 + 1]
-    for k in range(1, len(s)):
-        e.append(_dot(_binomial_row(2 * k - 1)[1::2], s[1 : k + 1], e[k - 1 :: -1]))
-    return tuple(e)
-
-
-def _theta_values(count: int) -> tuple:
-    """The even values of theta_series, -B_2k/(2k) = (-1)^k T_k / (4^k (4^k - 1)) for k < count."""
-    values = [Fraction(0)]
-    for k, tangent in enumerate(_tangent_numbers(count - 1), start=1):
-        four = 4**k
-        values.append(Fraction((-1) ** k * tangent, four * (four - 1)))
-    return tuple(values)
 
 
 def _even_series(values, order: int) -> TruncatedSeries:

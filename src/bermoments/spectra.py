@@ -15,7 +15,9 @@ Constructors:
   {0, 1} plus the interior fractions with denominators p, q, r.
 * :func:`spectrum_curve` expands the Eisenbud-Neumann generating function of
   an irreducible plane curve branch given by its Puiseux pairs.
-* :func:`thom_sebastiani` forms the join {alpha_i + beta_j + 1}.
+
+The Thom-Sebastiani join and spectra given directly are in
+:mod:`bermoments.oracles`.
 """
 
 from __future__ import annotations
@@ -357,27 +359,3 @@ def spectrum_curve(data: PuiseuxData) -> Spectrum:
         for e, c in enumerate(_binomial_quotient((denom // m1, denom // m2), denom)):
             total[e] += sign * c
     return Spectrum(1, tuple(_entries_from_dense(_nonnegative(total), denom)))
-
-
-def thom_sebastiani(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Spectrum of a sum of singularities in disjoint variables.
-
-    Entries are alpha_i + beta_j + 1 with multiplied multiplicities;
-    the ambient parameter is n_a + n_b + 1.
-    """
-    # merged here, not left to Spectrum: the mu_a * mu_b pairs fall on far
-    # fewer distinct sums, and Spectrum would first sort every pair
-    merged: dict = {}
-    for alpha, ma in a.entries:
-        for beta, mb in b.entries:
-            key = alpha + beta + 1
-            merged[key] = merged.get(key, Fraction(0)) + ma * mb
-    return Spectrum(a.n + b.n + 1, tuple(merged.items()))
-
-
-def abstract_spectrum(n: int, entries) -> Spectrum:
-    """Spectrum given directly; rational multiplicities are allowed.
-
-    The range and symmetry requirements are still enforced.
-    """
-    return Spectrum(n, tuple(entries))

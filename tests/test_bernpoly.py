@@ -23,7 +23,8 @@ from bermoments import (
     theta_series,
     verify_multiplication_formula,
 )
-from bermoments.bernpoly import _exp_zero_values, _from_zero_values, _scaled_zero_values, _zero_values
+from bermoments.bernpoly import _exp_zero_values, _from_zero_values, _zero_values
+from bermoments.kernels import _scaled_zero_values
 from bermoments.polynomials import MPoly
 
 from helpers import random_fraction

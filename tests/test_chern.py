@@ -23,11 +23,10 @@ from bermoments import (
     power_sum_in_elementary,
 )
 from bermoments import TruncatedSeries, theta_series
-from bermoments.chern import (
+from bermoments.chern import _twisted_series, partitions_of
+from bermoments.oracles import (
     _as_mpoly,
-    _twisted_series,
     d_poly,
-    partitions_of,
     shift_difference_poly,
     todd_factor_poly,
     twisted_todd_poly,

@@ -191,16 +191,16 @@ def test_weights_never_build_the_spectrum(capsys, monkeypatch):
     # Gamma of a weight system is one exp of the closed weight product per nu:
     # no Spectrum, no power sum over spectral numbers, and neither the
     # transform of a raw series nor its A_2j(0, nu) table is formed
-    from bermoments import bernpoly, harness, moments, spectra
+    from bermoments import kernels, oracles, spectra
 
     def refuse(*args, **kwargs):
         raise AssertionError("the --weights route left the one-exp route")
 
     originals = (
         spectra.Spectrum,
-        moments.moments_of_spectrum,
-        moments.bernoulli_moments,
-        bernpoly._scaled_zero_values,
+        oracles.moments_of_spectrum,
+        oracles.bernoulli_moments,
+        kernels._scaled_zero_values,
     )
     # `from .x import f` binds f in each importing module, so every binding
     # in the package is patched
@@ -238,11 +238,11 @@ def test_numeric_transforms_never_build_tangent_numbers(capsys, monkeypatch):
     # sinh(t/2)/(t/2), so no numeric command of a spectrum, a chi vector or
     # apoly --x --nu reads a Bernoulli number or theta; every command that
     # does builds them from the tangent numbers
-    from bermoments import series
+    from bermoments import kernels
 
     calls = []
-    tangent_numbers = series._tangent_numbers
-    monkeypatch.setattr(series, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
+    tangent_numbers = kernels._tangent_numbers
+    monkeypatch.setattr(kernels, "_tangent_numbers", lambda n: calls.append(n) or tangent_numbers(n))
     for source in (("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23")):
         for command, *rest in (
             ("gamma", "--nu", "5/2", "--kmax", "30"),
@@ -612,6 +612,44 @@ def test_file_values_obey_the_digit_limit(tmp_path, capsys, kind, digits):
         assert code == 0 and out.splitlines() == expected
 
 
+def _parsed(parser, argv) -> tuple:
+    """(namespace or exit code, stdout, stderr) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMANDS = ("bernoulli", "theta", "apoly", "spectrum", "gamma", "check", "trace", "nu-threshold", "manifold")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["-h"], ["nope"], ["-"], ["--kmax", "2"], ["-1", "gamma"], ["gamma", "gamma"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [[command] for command in COMMANDS]
+    + [
+        ["spectrum", "qh", "--help"], ["spectrum", "tpqr", "--p", "2"], ["spectrum", "curve", "--puiseux", "2:3"],
+        ["manifold", "chern", "--help"], ["manifold", "chern", "--builtin", "k3", "--nu", "1"],
+        ["manifold", "--chi=2,20,2", "--nu", "1", "--kmax", "2"],
+        ["gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", str(MAX_KMAX + 1)],
+        ["gamma", "--tpqr", "2,3,7", "--weights", "1/3", "--nu", "1", "--kmax", "2"],
+        ["gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "2", "--steps", "3"],
+        ["check", "--puiseux", "2:3", "--mode", "X", "--kmax", "2"],
+        ["nu-threshold", "--tpqr", "2,3,7", "--k", "1", "--nu-hi", "2", "--steps", "4", "--k-ca", "3"],
+        ["apoly", "--k", "x"], ["apoly", "--k", "4", "--nu", "1/0"], ["theta", "--order", "4", "extra"],
+        ["--help", "gamma"], ["bernoulli", "--count", "0"], ["trace", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "0"],
+    ],
+)
+def test_one_sub_parser_reads_as_all_of_them(argv):
+    # main builds the arguments of the named sub-command only; help, usage
+    # errors and the parsed arguments are those of the parser of all of them
+    assert _parsed(_build_parser(argv), argv) == _parsed(_build_parser(), argv)
+
+
 def test_caps_admit_their_bounds():
     parser = _build_parser()
     accepted = [
@@ -714,6 +752,58 @@ def test_spectrum_file_entries_are_capped_against_the_order(tmp_path, capsys, mo
         assert message in err and len(calls) == runs
 
 
+@pytest.mark.parametrize("kind", ["spectrum", "chern"])
+def test_file_characters_are_capped(tmp_path, capsys, monkeypatch, kind):
+    # at most MAX_FILE_CHARS + 1 characters are read, before any line is
+    # counted or parsed: a file at the cap is read in full, and a longer one,
+    # however long, is refused as an error of its option
+    from bermoments import cli
+
+    monkeypatch.setattr(cli, "MAX_FILE_CHARS", 100)
+    if kind == "chern":
+        text, option = "n 1\npartition 1 value 2\n", "--file"
+        argv, expected = ("manifold", "chern", "--file"), ["0\t2", "1\t1/2"]
+        rest = ("--nu", "0", "--kmax", "1")
+    else:
+        text, option = "n 1\nalpha -1/6 mult 1\nalpha 1/6 mult 1\n", "--spectrum-file"
+        argv, expected = ("gamma", "--spectrum-file"), ["0\t2", "1\t1/18"]
+        rest = ("--nu", "0", "--kmax", "1")
+    path = tmp_path / kind
+    for padding, accepted in [(100 - len(text) - 1, True), (100 - len(text), False), (10**6, False)]:
+        path.write_text(text + "#" * padding + "\n")
+        code, out, err = run(capsys, *argv, str(path), *rest)
+        if accepted:
+            assert (code, out.splitlines(), err) == (0, expected, "")
+        else:
+            assert_one_error_line(code, out, err)
+            assert err.startswith(f"error: argument {option}:")
+            assert "the file holds more than the cap of 100 characters" in err
+
+
+def test_a_file_at_the_character_cap_round_trips(tmp_path, capsys):
+    # the cap is above the longest spectrum qh output the dense cap admits
+    # that was found, 6.02 * 10^7 characters (64 weights 1/4093); an output
+    # padded by a comment to exactly MAX_FILE_CHARS characters is read back
+    # as the spectrum it prints, and one character more is refused
+    from bermoments.cli import MAX_FILE_CHARS
+
+    assert MAX_FILE_CHARS > 61 * 10**6
+    code, text, _ = run(capsys, "spectrum", "qh", "--weights", "1/3,1/5,1/7")
+    path = tmp_path / "padded.spectrum"
+    argv = ("--nu", "5/2", "--kmax", "6")
+    _, direct, _ = run(capsys, "gamma", "--weights", "1/3,1/5,1/7", *argv)
+    for extra, accepted in [(0, True), (1, False)]:
+        padding = "#" * (MAX_FILE_CHARS - len(text) - 1 + extra) + "\n"
+        path.write_text(text + padding)
+        code, out, err = run(capsys, "gamma", "--spectrum-file", str(path), *argv)
+        if accepted:
+            assert (code, out, err) == (0, direct, "")
+        else:
+            assert_one_error_line(code, out, err)
+            assert f"more than the cap of {MAX_FILE_CHARS} characters" in err
+    path.unlink()
+
+
 def test_spectrum_file_record_lines_are_capped(tmp_path, capsys, monkeypatch):
     # the record lines are counted before any value is parsed, so that the
     # work that does not shrink with the order is bounded too: a file of
@@ -797,12 +887,12 @@ def test_key_error_is_printed_without_quotes(capsys, monkeypatch):
 def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys, monkeypatch):
     # moments.gamma_of is the one nu-entry of every command: the power sums
     # of the source run once, and no raw series is built or transformed
-    from bermoments import moments
+    from bermoments import moments, oracles
 
     def refuse(*args, **kwargs):
         raise AssertionError("a command left the power-sum route")
 
-    originals = (moments.bernoulli_moments, moments.moments_of_spectrum, moments.moments_of_chi)
+    originals = (oracles.bernoulli_moments, oracles.moments_of_spectrum, oracles.moments_of_chi)
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bermoments"]
     for module in modules:
         for attr, value in list(vars(module).items()):

@@ -22,8 +22,7 @@ from bermoments import (
     trace_convergence,
     trace_limit,
 )
-from bermoments.harness import curve_correction_coefficient, curve_correction_terms
-from bermoments.moments import gamma_weight_factor
+from bermoments.oracles import curve_correction_coefficient, curve_correction_terms, gamma_weight_factor
 
 from helpers import random_brieskorn_weights
 

@@ -47,6 +47,23 @@ EXPORTS = {
         "spectrum_curve", "spectrum_from_weights", "spectrum_tpqr", "thom_sebastiani",
     ),
 }
+# the names that left the module above: the second routes, which no command
+# runs, for the oracle module, and the integer kernels of every numeric command
+MOVED = {
+    **dict.fromkeys(("DEFAULT_ORDER", "bernoulli_numbers"), "kernels"),
+    **dict.fromkeys(
+        (
+            "cos_scaled_value", "fourier_partial_sum", "generalized_bernoulli_value", "periodize",
+            "sin_scaled_value", "verify_multiplication_formula", "chern_moment_poly",
+            "power_sum_in_elementary", "trace_limit", "bernoulli_moment_direct", "bernoulli_moments",
+            "gamma_genus_closed", "gamma_k3_closed", "gamma_pn_closed", "gamma_qh_product_nplus1",
+            "gamma_qh_product_spread", "gamma_tpqr_closed", "moments_of_chi", "moments_of_spectrum",
+            "moments_qh_product", "q_exponent_poly", "q_factor_series", "abstract_spectrum",
+            "thom_sebastiani",
+        ),
+        "oracles",
+    ),
+}
 
 # runs main(argv) in a fresh interpreter; prints its exit code and the modules
 # it loaded: those of bermoments, and the start-up-heavy standard modules that
@@ -92,7 +109,7 @@ def test_manifold_chern_loads_no_moment_module():
     loaded = loaded_after("manifold", "chern", "--builtin", "pn:2", "--nu", "2", "--kmax", "3")
     assert "chern" in loaded
     assert not loaded & {"moments", "bernpoly", "harness", "spectra"}
-    assert loaded == {"bermoments", "cli", "_record", "chern", "series"}
+    assert loaded == {"bermoments", "cli", "chern", "kernels"}
 
 
 @pytest.mark.parametrize("values", [(), ("--x", "1/3", "--nu", "5/2")])
@@ -100,7 +117,65 @@ def test_apoly_loads_only_the_polynomial_modules(values):
     loaded = loaded_after("apoly", "--k", "5", *values)
     # only the symbolic form builds an MPoly
     symbolic = set() if values else {"polynomials"}
-    assert loaded == {"bermoments", "cli", "_record", "bernpoly", "series"} | symbolic
+    assert loaded == {"bermoments", "cli", "bernpoly", "kernels"} | symbolic
+
+
+# argv -> the modules it loads besides bermoments and bermoments.cli; FILE is a
+# spectrum file.  A --weights source loads spectra for its admissibility check
+SOURCE = {"_record", "spectra", "moments", "harness", "kernels"}
+SOURCES = [("--weights", "1/3,1/5"), ("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23"), ("--spectrum-file", "FILE")]
+LOADS = [
+    (("bernoulli", "--count", "6"), {"kernels"}),
+    (("theta", "--order", "6"), {"_record", "series", "kernels"}),
+    (("spectrum", "qh", "--weights", "1/3,1/5"), {"_record", "spectra"}),
+    (("spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7"), {"_record", "spectra"}),
+    (("spectrum", "curve", "--puiseux", "2:5,2:23"), {"_record", "spectra"}),
+    (("manifold", "--chi=1,1,1", "--nu", "2", "--kmax", "3"), {"_record", "moments", "kernels"}),
+    (("manifold", "chern", "--builtin", "k3", "--nu", "2", "--kmax", "3"), {"chern", "kernels"}),
+    (("manifold", "chern", "--file", "FILE", "--nu", "2", "--kmax", "3"), {"_record", "chern", "kernels", "spectra"}),
+]
+for source in SOURCES:
+    LOADS += [
+        (("gamma", *source, "--mode", "S", "--kmax", "3"), SOURCE),
+        (("check", *source, "--mode", "W", "--kmax", "3"), SOURCE),
+        (("trace", *source, "--nu", "2", "--kmax", "3"), SOURCE | {"bernpoly"}),
+        (("nu-threshold", *source, "--k", "1", "--nu-hi", "4", "--steps", "4"), SOURCE),
+    ]
+FILES = {"chern": "n 2\npartition 2 value 24\npartition 1,1 value 0\n", "spectrum": "n 1\nalpha -1/6 mult 1\nalpha 1/6 mult 1\n"}
+
+
+def with_file(argv, tmp_path) -> tuple:
+    """argv with FILE replaced by the path of a small Chern or spectrum file."""
+    kind = "chern" if "chern" in argv else "spectrum"
+    path = tmp_path / kind
+    path.write_text(FILES[kind])
+    return tuple(str(path) if word == "FILE" else word for word in argv)
+
+
+@pytest.mark.parametrize("argv, modules", LOADS, ids=[" ".join(argv) for argv, _ in LOADS])
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, modules):
+    assert loaded_after(*with_file(argv, tmp_path)) == {"bermoments", "cli"} | modules
+
+
+# every command in one interpreter, which then has not loaded the oracle module
+ALL_COMMANDS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from bermoments.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("bermoments."))]))
+"""
+
+
+def test_no_command_loads_the_oracles(tmp_path):
+    argvs = [with_file(argv, tmp_path) for argv, _ in LOADS]
+    argvs += [("apoly", "--k", "5"), ("apoly", "--k", "5", "--x", "1/3", "--nu", "5/2"), ("--help",)]
+    codes, modules = json.loads(run_python("-c", ALL_COMMANDS, json.dumps(argvs)).stdout)
+    assert codes == [0] * len(argvs)
+    # every other module of the package is loaded by some command
+    package = {f"bermoments.{info.name}" for info in pkgutil.iter_modules(bermoments.__path__)}
+    assert set(modules) == package - {"bermoments.oracles"}
 
 
 NUMERIC = [
@@ -151,7 +226,10 @@ def test_no_command_loads_typing():
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
 def test_export_is_the_module_object(module, name):
-    assert getattr(bermoments, name) is getattr(importlib.import_module(f"bermoments.{module}"), name)
+    home = MOVED.get(name, module)
+    assert getattr(bermoments, name) is getattr(importlib.import_module(f"bermoments.{home}"), name)
+    # a name that moved is no longer bound in its old module
+    assert home == module or not hasattr(importlib.import_module(f"bermoments.{module}"), name)
     assert name in bermoments.__all__
     assert name in dir(bermoments)
 

@@ -42,7 +42,7 @@ from bermoments import (
 from bermoments.bernpoly import _zero_values
 from bermoments.moments import _qh_gamma, gamma_of
 from bermoments.polynomials import MPoly
-from bermoments.series import _even_mul
+from bermoments.kernels import _even_mul
 
 from helpers import FIXED_SYSTEMS, lagrange_value, random_brieskorn_weights, random_fraction
 
@@ -242,7 +242,7 @@ class TestQuasihomogeneousClosedForms:
             assert closed.nu == len(ws.weights)
 
     def test_gamma_factor_signs(self):
-        from bermoments.moments import gamma_weight_factor
+        from bermoments.oracles import gamma_weight_factor
 
         for w in (F(1, 2), F(1, 3), F(2, 5)):
             factor = gamma_weight_factor(w, 16)

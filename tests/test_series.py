@@ -18,7 +18,8 @@ from bermoments import (
     theta_series,
 )
 from bermoments.polynomials import MPoly
-from bermoments.series import _dot, _even_exp, _even_mul, _even_series, _theta_values
+from bermoments.kernels import _dot, _even_exp, _even_mul, _theta_values
+from bermoments.series import _even_series
 
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
