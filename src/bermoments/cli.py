@@ -111,14 +111,11 @@ def _parse_tpqr(text: str) -> TpqrParams:
 
 
 @_type_error
-def _parse_puiseux(text: str) -> tuple:
-    # only the syntax is checked here; the invariants are checked when
-    # PuiseuxData is built, with their own diagnostics
-    pairs = []
-    for chunk in text.split(","):
-        n, _, r = chunk.partition(":")
-        pairs.append((int(n), int(r)))
-    return tuple(pairs)
+def _parse_puiseux(text: str) -> PuiseuxData:
+    from .spectra import PuiseuxData
+
+    pairs = (chunk.partition(":") for chunk in text.split(","))
+    return PuiseuxData(tuple((int(n), int(r)) for n, _, r in pairs))
 
 
 def _read_text(path: str) -> str:
@@ -183,14 +180,14 @@ def _add_spectrum_source(parser: argparse.ArgumentParser):
 
 def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     """The spectrum the arguments name; --weights is passed on as its weight system."""
-    from .spectra import PuiseuxData, spectrum_curve, spectrum_tpqr
+    from .spectra import spectrum_curve, spectrum_tpqr
 
     if args.weights is not None:
         return args.weights
     if args.tpqr is not None:
         return spectrum_tpqr(args.tpqr)
     if args.puiseux is not None:
-        return spectrum_curve(PuiseuxData(args.puiseux))
+        return spectrum_curve(args.puiseux)
     return args.spectrum_file
 
 
@@ -333,7 +330,7 @@ def _cmd_apoly(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectra import PuiseuxData, spectrum_curve, spectrum_from_weights, spectrum_tpqr
+    from .spectra import spectrum_curve, spectrum_from_weights, spectrum_tpqr
 
     if args.kind == "qh":
         spectrum = spectrum_from_weights(args.weights)
@@ -343,8 +340,8 @@ def _cmd_spectrum(args) -> int:
             print("# non-hyperbolic triple (1/p + 1/q + 1/r >= 1)")
         spectrum = spectrum_tpqr(params)
     else:
-        spectrum = spectrum_curve(PuiseuxData(args.puiseux))
-    sys.stdout.write(spectrum.to_text())
+        spectrum = spectrum_curve(args.puiseux)
+    sys.stdout.writelines(spectrum.text_chunks())  # never the whole text at once
     return 0
 
 
@@ -353,11 +350,13 @@ def _check_nu_bits(nu, kmax: int, cap: int = MAX_NU_BITS_KMAX):
 
 
 def _cmd_gamma(args) -> int:
-    from .harness import conjecture_nu
     from .moments import gamma_of
 
     spectrum = _spectrum_from_args(args)
-    nu = args.nu if args.nu is not None else conjecture_nu(spectrum, args.mode)
+    nu = args.nu
+    if nu is None:  # only --mode loads harness
+        from .harness import conjecture_nu
+        nu = conjecture_nu(spectrum, args.mode)
     _check_nu_bits(nu, args.kmax)
     _check_source(args.spectrum_file, "spectrum", args.kmax)
     return _print_rows(gamma_of(spectrum, 2 * args.kmax)(nu).values)

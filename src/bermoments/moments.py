@@ -92,7 +92,7 @@ class MomentSeries:
 
 
 def _power_sums(pairs, order: int) -> tuple:
-    """(N, unit, sigma): the even power sums of pairs (a_i, m_i) over integers.
+    """(N, unit, sigma): the even power sums of pairs (a_i, m_i) of Fractions or ints.
 
     The a_i and m_i are written over common denominators, scale and unit, so
     N_k = unit * sigma^k * sum_i m_i a_i^2k (2k <= order) is an integer sum,
@@ -100,11 +100,10 @@ def _power_sums(pairs, order: int) -> tuple:
     values N_k / (unit * sigma^k); for a spectrum or a chi vector, whose pairs
     Spectrum and ChiVector check to be symmetric about 0, the odd part cancels.
     """
-    pairs = [(Fraction(a), Fraction(m)) for a, m in pairs]
     scale = lcm(*(a.denominator for a, _ in pairs))
     unit = lcm(*(m.denominator for _, m in pairs))
-    squares = [(a * scale).numerator ** 2 for a, _ in pairs]
-    terms = [(m * unit).numerator for _, m in pairs]
+    squares = [(a.numerator * (scale // a.denominator)) ** 2 for a, _ in pairs]
+    terms = [m.numerator * (unit // m.denominator) for _, m in pairs]
     sums = []
     for _ in range(0, order + 1, 2):
         sums.append(sum(terms))
@@ -154,7 +153,7 @@ def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
 
 
 def _qh_gamma(ws: WeightSystem, order: int):
-    """nu -> Gamma(V, nu) = mu exp(theta (P + nu)) of a weight product; nu = None gives V.
+    """nu -> Gamma(V, nu) = mu exp(theta (P + nu)) of a weight product.
 
     Given nu = p/q it is the exp of theta_2k q^(k-1) (q N_k + p sigma^k),
     value k divided by (sigma q)^k.  Theta and the power sums run once.
@@ -167,8 +166,8 @@ def _qh_gamma(ws: WeightSystem, order: int):
     signed = [pair for w in ws.weights for pair in ((w, 1), (1 - w, -1))]
     sums, _, sigma = _power_sums(signed, order)
 
-    def gamma(nu=None) -> MomentSeries:
-        p, q = (0, 1) if nu is None else (Fraction(nu).numerator, Fraction(nu).denominator)
+    def gamma(nu) -> MomentSeries:
+        p, q = Fraction(nu).as_integer_ratio()
         exponent = [theta[0]]
         for k in range(1, len(theta)):
             exponent.append(theta[k] * q ** (k - 1) * (q * sums[k] + p * sigma**k))

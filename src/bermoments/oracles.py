@@ -97,9 +97,9 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
     The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
     (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so V = mu exp(theta P) with
     P_2k = N_k / sigma^k = sum_w (w^2k - (1-w)^2k).
-    Equals moments_of_spectrum(spectrum_from_weights(ws)).
+    Equals moments_of_spectrum(spectrum_from_weights(ws)): Gamma at nu = 0, labelled raw.
     """
-    return _qh_gamma(ws, order)()
+    return MomentSeries(_qh_gamma(ws, order)(0).values, order, None)
 
 
 def _gamma_weight_values(w, order: int) -> tuple:

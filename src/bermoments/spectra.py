@@ -132,10 +132,14 @@ class Spectrum:
 
     # -- text format -----------------------------------------------------------
 
+    def text_chunks(self):
+        """The text of :meth:`to_text` in chunks of at most 1024 lines, so that no more is held."""
+        yield f"n {self.n}\n"
+        for i in range(0, len(self.entries), 1024):
+            yield "".join(f"alpha {alpha} mult {mult}\n" for alpha, mult in self.entries[i : i + 1024])
+
     def to_text(self) -> str:
-        lines = [f"n {self.n}"]
-        lines.extend(f"alpha {alpha} mult {mult}" for alpha, mult in self.entries)
-        return "\n".join(lines) + "\n"
+        return "".join(self.text_chunks())
 
     @classmethod
     def from_text(cls, text: str) -> "Spectrum":

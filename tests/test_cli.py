@@ -362,22 +362,51 @@ ORACLE_COMMANDS = [
 ]
 
 
+# (the source option, the spectrum command that prints its spectrum)
+SPECTRUM_SOURCES = [
+    (("--weights", w), ("qh", "--weights", w))
+    for w in (",".join(map(str, ws.weights)) for ws in FIXED_SYSTEMS
+              + [WeightSystem((F(2, 5), F(1, 5))), WeightSystem((F(1, 3), F(1, 3), F(1, 5)))])
+] + [
+    (("--tpqr", "2,3,7"), ("tpqr", "--p", "2", "--q", "3", "--r", "7")),
+    (("--tpqr", "3,4,5"), ("tpqr", "--p", "3", "--q", "4", "--r", "5")),
+    (("--puiseux", "2:3"), ("curve", "--puiseux", "2:3")),
+    (("--puiseux", "2:5,2:23"), ("curve", "--puiseux", "2:5,2:23")),
+]
+
+
 @pytest.mark.parametrize(
-    "ws",
-    FIXED_SYSTEMS
-    + [WeightSystem((F(2, 5), F(1, 5))), WeightSystem((F(1, 3), F(1, 3), F(1, 5)))],
-    ids=lambda ws: ",".join(map(str, ws.weights)),
+    "source, spectrum",
+    SPECTRUM_SOURCES,
+    ids=[value if option == "--weights" else f"{option} {value}" for (option, value), _ in SPECTRUM_SOURCES],
 )
-def test_weights_print_what_their_spectrum_file_prints(tmp_path, capsys, ws):
-    # the closed product against the spectrum's power sums, byte for byte
-    weights = ",".join(map(str, ws.weights))
-    code, text, _ = run(capsys, "spectrum", "qh", "--weights", weights)
+def test_weights_print_what_their_spectrum_file_prints(tmp_path, capsys, source, spectrum):
+    # the closed product of --weights, and the spectrum that --tpqr and
+    # --puiseux build from their checked records, against the power sums of
+    # the spectrum command's output read back, byte for byte
+    code, text, _ = run(capsys, "spectrum", *spectrum)
     assert code == 0
-    path = tmp_path / "qh.spectrum"
+    path = tmp_path / "source.spectrum"
     path.write_text(text)
     for command, *rest in ORACLE_COMMANDS:
-        by_weights = run(capsys, command, "--weights", weights, *rest)
-        assert by_weights[1] and by_weights == run(capsys, command, "--spectrum-file", str(path), *rest)
+        by_source = run(capsys, command, *source, *rest)
+        assert by_source[1] and by_source == run(capsys, command, "--spectrum-file", str(path), *rest)
+
+
+@pytest.mark.parametrize("pairs", ["2:3,2:5", "2", "2:4"])
+def test_invalid_puiseux_is_refused_as_it_is_parsed(capsys, pairs):
+    # --puiseux builds its checked PuiseuxData as the arguments are parsed,
+    # so every command refuses it as an argument error
+    for argv in (
+        ("spectrum", "curve"),
+        ("gamma", "--nu", "1", "--kmax", "2"),
+        ("check", "--mode", "W", "--kmax", "2"),
+        ("trace", "--nu", "1", "--kmax", "2"),
+        ("nu-threshold", "--k", "1", "--nu-hi", "2", "--steps", "4"),
+    ):
+        code, out, err = run(capsys, *argv, "--puiseux", pairs)
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: argument --puiseux: invalid value '{pairs}' ("), argv
 
 
 def test_manifold_chi(capsys):

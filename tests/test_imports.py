@@ -137,6 +137,8 @@ LOADS = [
 for source in SOURCES:
     LOADS += [
         (("gamma", *source, "--mode", "S", "--kmax", "3"), SOURCE),
+        # harness only gives the nu of --mode
+        (("gamma", *source, "--nu", "2", "--kmax", "3"), SOURCE - {"harness"}),
         (("check", *source, "--mode", "W", "--kmax", "3"), SOURCE),
         (("trace", *source, "--nu", "2", "--kmax", "3"), SOURCE | {"bernpoly"}),
         (("nu-threshold", *source, "--k", "1", "--nu-hi", "4", "--steps", "4"), SOURCE),

@@ -40,7 +40,7 @@ from bermoments import (
     TpqrParams,
 )
 from bermoments.bernpoly import _zero_values
-from bermoments.moments import _qh_gamma, gamma_of
+from bermoments.moments import _power_sums, _qh_gamma, gamma_of
 from bermoments.polynomials import MPoly
 from bermoments.kernels import _even_mul
 
@@ -647,6 +647,16 @@ class TestEvenValueTransform:
         gamma = gamma_of(source, order)(nu)
         assert gamma == bernoulli_moments(moments_of(source, order), nu)
         assert gamma.nu == nu and gamma.order == order
+
+    def test_power_sums_take_int_offsets_and_rational_multiplicities(self):
+        # pairs given directly: int and Fraction offsets, int and Fraction
+        # multiplicities, each written over its common denominator in integers
+        pairs = [(0, F(3, 2)), (-2, F(1, 3)), (2, F(1, 3)), (F(-1, 5), 7), (F(1, 5), 7), (F(7, 2), F(-5, 6))]
+        sums, unit, sigma = _power_sums(pairs, 10)
+        assert (unit, sigma) == (6, 100)
+        for k, n in enumerate(sums):
+            assert type(n) is int
+            assert F(n, unit * sigma**k) == sum(m * F(a) ** (2 * k) for a, m in pairs)
 
     @given(ws=weight_products(), nu=ONE_EXP_NUS, order=st.integers(0, 24))
     @settings(max_examples=60, deadline=None)
