@@ -1,8 +1,10 @@
-"""Moments of compact complex manifolds, two ways.
+"""Moments of compact complex manifolds: Chern numbers give chi, and chi gives Gamma.
 
-The chi vector (chi_0, ..., chi_n) gives the moment series directly; the
-Chern numbers give the same values through universal polynomials produced
-by the Hirzebruch-Riemann-Roch expansion.
+The chi vector (chi_0, ..., chi_n) gives the moment series directly.  The
+Chern numbers give the chi vector: the Hirzebruch-Riemann-Roch expansion at
+nu = 0, carried to t^(2 floor(n/2)), and a Vandermonde solve.  The universal
+polynomials q_kj of the same expansion integrate the Chern numbers at any
+nu, and agree.
 
 Run as: python demos/05_manifolds_and_chern_numbers.py
 """
@@ -19,6 +21,8 @@ from bermoments import (
     moment_from_chern,
     moments_of_chi,
 )
+from bermoments.chern import chi_vector
+from bermoments.oracles import bernoulli_moments_by_expansion
 
 print("=== the universal Chern-coefficient polynomials ===")
 for k in (1, 2):
@@ -29,6 +33,8 @@ print()
 print("=== K3 surface ===")
 k3_chern = chern_data_k3()
 k3_chi = ChiVector((2, 20, 2))
+assert chi_vector(k3_chern) == k3_chi
+print("chi vector from Chern data:", [str(c) for c in chi_vector(k3_chern).chi])
 v = moments_of_chi(k3_chi, 12)
 print("V_0, V_2 from chi vector :", v.moment(0), v.moment(2))
 print("V_0, V_2 from Chern data :", moment_from_chern(k3_chern, 0), moment_from_chern(k3_chern, 1))
@@ -43,7 +49,8 @@ for n in (2, 3, 5):
     chi = ChiVector(tuple([1] * (n + 1)))
     route = bernoulli_moments(moments_of_chi(chi, 8), n)
     chern_route = [bernoulli_moment_from_chern(data, n, k) for k in range(4)]
-    assert chern_route == [route.moment(2 * k) for k in range(4)]
+    # the expansion at nu itself, without the chi vector
+    assert chern_route == [route.moment(2 * k) for k in range(4)] == bernoulli_moments_by_expansion(data, n, 3)
     closed = gamma_pn_closed(n, 8)
     print(f"P^{n}: Gamma_0..Gamma_6 = {[str(closed.moment(2 * k)) for k in range(4)]}")
 print("below the dimension the signed moments keep the opposite sign pattern,")

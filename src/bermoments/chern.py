@@ -13,8 +13,13 @@ through a Todd-like exponential with symmetric-polynomial coefficients and
 a twist by exp(-nu * theta); all intermediate polynomials are stable in the
 number m of variables once their weighted degree is at most m.
 
-The commands integrate the weight-j parts of that expansion against the
-Chern numbers directly; the q_kj themselves, as MPoly, are oracles in
+Chern numbers give chi, and chi gives Gamma.  V(X) is fixed by the chi
+vector, V(t) = sum_p chi_p exp((p - n/2) t), each chi_p linear in the Chern
+numbers (the chi_y genus) and chi_p = chi_(n-p), so :func:`chi_vector`
+carries the expansion at nu = 0 to t^(2 floor(n/2)) only, a cost fixed by
+n, and solves for chi_0..chi_(floor(n/2)).  ``moments.gamma_of`` then gives
+every Gamma_2k of every nu, as for a chi vector given directly.  The
+expansion at any other nu, and the q_kj themselves as MPoly, are oracles in
 :mod:`bermoments.oracles`.
 """
 
@@ -25,6 +30,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .kernels import _theta_values
+from .moments import ChiVector, gamma_of
 
 # A symmetric polynomial in y_1, y_2, ... is kept as a dict from partitions
 # (descending tuples) to coefficients: the key (2, 1, 1) stands for
@@ -135,25 +141,15 @@ def _integrate(graded: dict, data: ChernData, j: int) -> Fraction:
     return sum((c * data.number(lam + rest) for lam, c in graded.items() if sum(lam) == j), Fraction())
 
 
-def moment_from_chern(data: ChernData, k: int) -> Fraction:
-    """V_2k of the manifold, evaluated from its Chern numbers (Gamma_2k at nu = 0)."""
-    return bernoulli_moment_from_chern(data, 0, k)
+def _expansion_moments(data: ChernData, nu, kmax: int) -> list:
+    """Gamma_2k(V(X), nu) for k = 0..kmax, read off one expansion to t^(2 kmax) at n - nu.
 
-
-def bernoulli_moment_from_chern(data: ChernData, nu, k: int) -> Fraction:
-    """Gamma_2k(V(X), nu) from Chern numbers; the nu argument becomes n - nu."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return bernoulli_moments_from_chern(data, nu, k)[k]
-
-
-def bernoulli_moments_from_chern(data: ChernData, nu, kmax: int) -> list:
-    """Gamma_2k(V(X), nu) for k = 0..kmax from Chern numbers.
-
-    Every q_kj of every k is the weight-j part of one expansion to t^(2 kmax)
-    at the rational value n - nu, with m = cap = n (stable in m, see the
-    module docstring); the coefficients of a lower order do not depend on
-    the order the expansion is carried to.
+    Every q_kj of every k is the weight-j part of that expansion, with
+    m = cap = n (stable in m, see the module docstring); the coefficients of
+    a lower order do not depend on the order the expansion is carried to.
+    :func:`chi_vector` reads it at nu = 0 only; at any other nu it is the
+    oracle ``oracles.bernoulli_moments_by_expansion`` of
+    :func:`bernoulli_moments_from_chern`.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -165,6 +161,49 @@ def bernoulli_moments_from_chern(data: ChernData, nu, kmax: int) -> list:
             total += (-1) ** j * _integrate(series[2 * k - j], data, j)
         values.append(factorial(2 * k) * total)
     return values
+
+
+def chi_vector(data: ChernData) -> ChiVector:
+    """The chi vector of the Chern numbers: V(t) = sum_p chi_p exp((p - n/2) t).
+
+    With the squares d_p = (2p - n)^2 and chi_p = chi_(n-p), the moments
+    V_2k of the expansion at nu = 0 for 2k <= n read
+    4^k V_2k = sum_(p <= n/2) w_p chi_p d_p^k, w_p = 2 (1 for p = n/2):
+    a square Vandermonde system in the distinct d_p, solved in Lagrange form.
+    Arbitrary Chern numbers give rational chi.
+    """
+    n, half = data.n, data.n // 2
+    moments = _expansion_moments(data, 0, half)
+    squares = [(2 * p - n) ** 2 for p in range(half + 1)]
+    chi = []
+    for p, d in enumerate(squares):
+        # prod_(q != p) (x - d_q), lowest degree first, and w_p prod_(q != p) (d_p - d_q)
+        poly, divisor = [1], 2 if 2 * p < n else 1
+        for q, e in enumerate(squares):
+            if q != p:
+                poly = [a - e * b for a, b in zip([0] + poly, poly + [0])]
+                divisor *= d - e
+        chi.append(sum(c * 4**k * v for k, (c, v) in enumerate(zip(poly, moments))) / divisor)
+    return ChiVector(tuple(chi + chi[: n - half][::-1]))
+
+
+def moment_from_chern(data: ChernData, k: int) -> Fraction:
+    """V_2k of the manifold, evaluated from its Chern numbers (Gamma_2k at nu = 0)."""
+    return bernoulli_moment_from_chern(data, 0, k)
+
+
+def bernoulli_moment_from_chern(data: ChernData, nu, k: int) -> Fraction:
+    """Gamma_2k(V(X), nu) from Chern numbers."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return bernoulli_moments_from_chern(data, nu, k)[k]
+
+
+def bernoulli_moments_from_chern(data: ChernData, nu, kmax: int) -> list:
+    """Gamma_2k(V(X), nu) for k = 0..kmax from Chern numbers: their chi vector, then ``gamma_of``."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return list(gamma_of(chi_vector(data), 2 * kmax)(nu).values)
 
 
 def partitions_of(n: int) -> list:
@@ -220,10 +259,8 @@ def builtin_chern_data(spec: str) -> ChernData:
     return _builtin(spec, chern_data_pn, chern_data_k3, chern_data_genus)
 
 
-def builtin_chi_vector(spec: str):
+def builtin_chi_vector(spec: str) -> ChiVector:
     """The chi vector of the same builtin manifolds."""
-    from .moments import ChiVector
-
     return ChiVector(
         _builtin(spec, lambda n: (1,) * (n + 1), lambda: (2, 20, 2), lambda g: (1 - g, 1 - g))
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import lcm
+from math import factorial, lcm
 
 # MAX_EXPONENT caps the decimal exponent of each rational argument (--nu,
 # --x, --nu-hi, each --weights part) as it caps the values of the text files
@@ -22,12 +22,11 @@ from . import MAX_EXPONENT, _fraction
 # Upper bounds of the size options.  Each is checked as the arguments are
 # parsed, before any series is built, so that no input runs for minutes; the
 # README lists the slowest accepted input of each command.
-MAX_KMAX = 256  # --kmax of gamma, check, trace and manifold --chi
+MAX_KMAX = 256  # --kmax of gamma, check, trace and manifold (--chi or chern)
 MAX_ORDER = 512  # --order of theta and --count of bernoulli
 MAX_APOLY_K = 256  # --k of apoly
 MAX_THRESHOLD_K = 64  # --k and --k-cap of nu-threshold
 MAX_STEPS = 64  # --steps of nu-threshold; each step is one transform
-MAX_CHERN_KMAX = 24  # --kmax of manifold chern
 MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
 MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
 MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
@@ -37,12 +36,11 @@ MAX_FILE_CHARS = 2**26
 # Joint caps on the bits of a rational argument (of its larger term), or of the
 # centered pairs of a --spectrum-file or --chi, times its order, since row k
 # has k times as many bits.
-MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a source) * --kmax of gamma, check, trace, manifold --chi
+MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a source) * --kmax of gamma, check, trace, manifold
 MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps, or of a file) * --k-cap of nu-threshold
 MAX_APOLY_BITS_K = 2**18  # (bits of --x + bits of --nu) * --k of apoly
-MAX_CHERN_BITS_KMAX = 2**13  # (bits of nu) * --kmax of manifold chern
-# (entries) * (bits) * --kmax (or --k-cap) of a --spectrum-file or --chi: the
-# power sums hold about twice as many bits at their last order
+# (entries) * (bits) * --kmax (or --k-cap) of a --spectrum-file or a chi vector:
+# the power sums hold about twice as many bits at their last order
 MAX_POWER_SUM_BITS = 10**8
 
 
@@ -191,26 +189,32 @@ def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     return args.spectrum_file
 
 
-def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
-    """Cap the bits of the centered pairs of a --spectrum-file or --chi (the larger of their
-    scale, the lcm of their denominators, and of their largest numerator over it) to `cap`, and
-    (entries) * (bits) to MAX_POWER_SUM_BITS, each times the order, before any power sum runs.
+def _lcm_until(denominators, most: int) -> int:
+    """The lcm of the distinct denominators, built only until it has more than `most` bits."""
+    out = 1
+    for denominator in set(denominators):
+        if (out := lcm(out, denominator)).bit_length() > most:
+            break
+    return out
 
-    The order counts as at least 1, since the power sums form the scale at every order, and
-    the scale is built only until it alone is above a cap."""
+
+def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
+    """Cap the bits of the centered pairs of a --spectrum-file or a chi vector (the larger of their
+    scale, the lcm of their denominators, and of their largest numerator over it) to `cap`, and
+    (entries) * (those bits, over the unit too: the lcm of the denominators of the multiplicities)
+    to MAX_POWER_SUM_BITS, each times the order, before any power sum runs.  The order counts
+    as at least 1, since the power sums form the scale at every order, and the scale and the
+    unit are built only until each alone is above a cap."""
     if source is None:
         return
     size = max(size, 1)
     centered = source.centered()  # symmetric about 0, so the last is the largest
-    most = min(cap // size, MAX_POWER_SUM_BITS // (len(centered) * size))
-    scale = 1
-    for denominator in {a.denominator for a, _ in centered}:
-        scale = lcm(scale, denominator)
-        if scale.bit_length() > most:
-            break
-    bits = max(scale, centered[-1][0] * scale).numerator.bit_length()
-    _check_bits(bits, size, f"(bits of the centered {name}) * {what}", cap)
-    entries_bits = len(centered) * bits
+    most = MAX_POWER_SUM_BITS // (len(centered) * size)
+    scale = _lcm_until((a.denominator for a, _ in centered), min(cap // size, most))
+    largest = max(scale, centered[-1][0] * scale)
+    _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
+    unit = _lcm_until((m.denominator for _, m in centered), most)
+    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
     _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
 
 
@@ -284,7 +288,7 @@ def _build_parser(argv=None) -> argparse.ArgumentParser:
         chern_source.add_argument("--builtin", type=_parse_builtin, help="pn:N, k3 or genus:G")
         chern_source.add_argument("--file", type=_parse_chern_file, help="Chern number file")
         p_chern.add_argument("--nu", type=_parse_fraction, required=True)
-        p_chern.add_argument("--kmax", type=_at_most(MAX_CHERN_KMAX), required=True)
+        p_chern.add_argument("--kmax", type=_at_most(MAX_KMAX), required=True)
     return parser
 
 
@@ -304,9 +308,10 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    from .series import theta_series
+    from .kernels import _theta_values
 
-    return _print_rows(theta_series(args.order).coeffs)
+    theta = _theta_values(args.order // 2 + 1)
+    return _print_rows(0 if k % 2 else theta[k // 2] / factorial(k) for k in range(args.order + 1))
 
 
 def _cmd_apoly(args) -> int:
@@ -345,8 +350,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _check_nu_bits(nu, kmax: int, cap: int = MAX_NU_BITS_KMAX):
-    _check_bits(_bits(nu), kmax, "(bits of nu) * --kmax", cap)
+def _check_kmax(nu, source, kmax: int, name: str = "spectrum"):
+    """The joint caps against --kmax: of the bits of nu, then of a --spectrum-file or a chi vector."""
+    _check_bits(_bits(nu), kmax, "(bits of nu) * --kmax", MAX_NU_BITS_KMAX)
+    _check_source(source, name, kmax)
 
 
 def _cmd_gamma(args) -> int:
@@ -357,8 +364,7 @@ def _cmd_gamma(args) -> int:
     if nu is None:  # only --mode loads harness
         from .harness import conjecture_nu
         nu = conjecture_nu(spectrum, args.mode)
-    _check_nu_bits(nu, args.kmax)
-    _check_source(args.spectrum_file, "spectrum", args.kmax)
+    _check_kmax(nu, args.spectrum_file, args.kmax)
     return _print_rows(gamma_of(spectrum, 2 * args.kmax)(nu).values)
 
 
@@ -366,8 +372,7 @@ def _cmd_check(args) -> int:
     from .harness import check_conjecture, conjecture_nu
 
     spectrum = _spectrum_from_args(args)
-    _check_nu_bits(conjecture_nu(spectrum, args.mode), args.kmax)
-    _check_source(args.spectrum_file, "spectrum", args.kmax)
+    _check_kmax(conjecture_nu(spectrum, args.mode), args.spectrum_file, args.kmax)
     report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
@@ -378,8 +383,7 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
-    _check_nu_bits(args.nu, args.kmax)
-    _check_source(args.spectrum_file, "spectrum", args.kmax)
+    _check_kmax(args.nu, args.spectrum_file, args.kmax)
     spectrum = _spectrum_from_args(args)
     for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax), start=1):
         print(f"{k}\t{value:.12g}")
@@ -399,21 +403,19 @@ def _cmd_nu_threshold(args) -> int:
 
 
 def _cmd_manifold(args) -> int:
-    chi_route = (args.chi, args.chi_nu, args.chi_kmax)
+    chi, nu, kmax = args.chi, args.chi_nu, args.chi_kmax
     if args.mode == "chern":
-        if chi_route != (None, None, None):
+        if (chi, nu, kmax) != (None, None, None):
             raise ValueError("manifold's own --chi, --nu and --kmax do not go with chern")
-        _check_nu_bits(args.nu, args.kmax, MAX_CHERN_BITS_KMAX)
-        from .chern import bernoulli_moments_from_chern
+        from .chern import chi_vector  # its expansion, to t^(2 floor(n/2)) at nu = 0, costs what n sets
 
-        return _print_rows(bernoulli_moments_from_chern(args.builtin or args.file, args.nu, args.kmax))
-    if None in chi_route:
+        chi, nu, kmax = chi_vector(args.builtin or args.file), args.nu, args.kmax
+    elif None in (chi, nu, kmax):
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
-    _check_nu_bits(args.chi_nu, args.chi_kmax)
-    _check_source(args.chi, "chi vector", args.chi_kmax)
+    _check_kmax(nu, chi, kmax, "chi vector")
     from .moments import gamma_of
 
-    return _print_rows(gamma_of(args.chi, 2 * args.chi_kmax)(args.chi_nu).values)
+    return _print_rows(gamma_of(chi, 2 * kmax)(nu).values)
 
 
 _HANDLERS = {

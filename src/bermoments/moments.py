@@ -111,13 +111,19 @@ def _power_sums(pairs, order: int) -> tuple:
     return tuple(sums), unit, scale**2
 
 
-def _transform(sums, unit: int, sigma: int, order: int, nu) -> MomentSeries:
+def _even_rows(order: int) -> list:
+    """C(2k, 0), C(2k, 2), ..., C(2k, 2k) for 2k <= order: the rows of :func:`_transform`."""
+    return [_binomial_row(2 * k)[::2] for k in range(order // 2 + 1)]
+
+
+def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSeries:
     """Gamma(V, nu) to `order` of V_2k = N_k / (unit * sigma^k), N = `sums`.
 
     With nu = p/q and (4q)^j A_2j(0, nu) = H_j / L (:func:`_scaled_zero_values`),
     Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu) reads
     unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j):
-    one sum per row, by Horner's rule in 4q, and one Fraction.
+    one sum per row, by Horner's rule in 4q, and one Fraction.  `rows` are
+    the :func:`_even_rows` of `order`, built once for every nu.
     """
     nu = Fraction(nu)
     table, common = _scaled_zero_values(order, nu.numerator, nu.denominator)
@@ -129,7 +135,7 @@ def _transform(sums, unit: int, sigma: int, order: int, nu) -> MomentSeries:
     values, denominator, base = [], unit * common, 4 * nu.denominator
     for k in range(len(table)):
         total = 0  # by Horner's rule in 4q, so no power of q multiplies a big N
-        for c, n, h in zip(_binomial_row(2 * k)[::2], sums[k::-1], table):
+        for c, n, h in zip(rows[k], sums[k::-1], table):
             total = total * base + c * n * h
         values.append(Fraction(total, denominator))
         denominator *= base * sigma
@@ -140,12 +146,13 @@ def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
     """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector or a weight system.
 
     The power sums of the source run once.  Each nu is then one integer sum per
-    row (:func:`_transform`), or, for a weight system checked as
-    spectrum_from_weights checks it, one exp of its weight product.
+    row (:func:`_transform`, on binomial rows built once), or, for a weight
+    system checked as spectrum_from_weights checks it, one exp of its weight
+    product.
     """
     if hasattr(source, "centered"):  # a Spectrum or a ChiVector
-        integers = _power_sums(source.centered(), order)
-        return lambda nu: _transform(*integers, order, nu)
+        integers, rows = _power_sums(source.centered(), order), _even_rows(order)
+        return lambda nu: _transform(*integers, order, nu, rows)
     from .spectra import _weight_quotient
 
     _weight_quotient(source)
@@ -182,12 +189,16 @@ def _qh_gamma(ws: WeightSystem, order: int):
 
 @record
 class ChiVector:
-    """The signed Euler characteristics (chi_0, ..., chi_n) of a manifold."""
+    """The signed Euler characteristics (chi_0, ..., chi_n) of a manifold, as exact Fractions.
+
+    Those of a manifold are integers; those that ``chern.chi_vector`` reads off
+    arbitrary Chern numbers may be rational.
+    """
 
     chi: tuple
 
     def __post_init__(self):
-        values = tuple(int(c) for c in self.chi)
+        values = tuple(Fraction(_coeff(c)) for c in self.chi)
         if not values:
             raise ValueError("need at least chi_0")
         n = len(values) - 1

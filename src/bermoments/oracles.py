@@ -17,7 +17,9 @@ this module, so no request compiles it.
 * the cosine limit of the trace sequence and the sign mechanics of the curve
   correction term;
 * the universal Chern-number polynomials q_kj as :class:`MPoly`, from the
-  same partition-keyed expansion that :mod:`bermoments.chern` integrates.
+  same partition-keyed expansion that :mod:`bermoments.chern` integrates,
+  and Gamma of Chern numbers read off that expansion at any nu (the command
+  reads it at nu = 0 only, for the chi vector).
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ from .bernpoly import (
     centered_bernoulli_value,
     scaled_to_cosine,
 )
+# Gamma read off the expansion at n - nu: the oracle of chern.bernoulli_moments_from_chern
+from .chern import _expansion_moments as bernoulli_moments_by_expansion
 from .chern import _twisted_series
 from .kernels import DEFAULT_ORDER, _even_exp, _even_mul, _theta_values, bernoulli_numbers
-from .moments import MomentSeries, _power_sums, _qh_gamma, _transform
+from .moments import MomentSeries, _even_rows, _power_sums, _qh_gamma, _transform
 from .polynomials import MPoly
 from .series import TruncatedSeries, _even_series
 from .spectra import Spectrum
@@ -73,7 +77,7 @@ def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
     """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
-    return _transform(v.values, 1, 1, v.order, nu)
+    return _transform(v.values, 1, 1, v.order, nu, _even_rows(v.order))
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:

@@ -23,9 +23,10 @@ from bermoments import (
     power_sum_in_elementary,
 )
 from bermoments import TruncatedSeries, theta_series
-from bermoments.chern import _twisted_series, partitions_of
+from bermoments.chern import _twisted_series, chi_vector, partitions_of
 from bermoments.oracles import (
     _as_mpoly,
+    bernoulli_moments_by_expansion,
     d_poly,
     shift_difference_poly,
     todd_factor_poly,
@@ -208,9 +209,11 @@ def integrate_by_definition(poly, data, j):
 
 
 def chern_data_st():
+    # rational values: arbitrary Chern numbers give a rational chi vector
     def numbers(n):
         parts = partitions_of(n)
-        values = st.lists(st.integers(-50, 50), min_size=len(parts), max_size=len(parts))
+        value = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+        values = st.lists(value, min_size=len(parts), max_size=len(parts))
         return values.map(lambda vs: ChernData(n, dict(zip(parts, vs))))
 
     return st.integers(1, 3).flatmap(numbers)
@@ -223,8 +226,9 @@ def chern_data_st():
 )
 @settings(max_examples=60, deadline=None)
 def test_bernoulli_moment_matches_symbolic_polynomials(data, nu_value, k):
-    # arbitrary integer Chern numbers need not come from a manifold, so the
-    # chi route cannot check these; the symbolic q_kj can
+    # arbitrary rational Chern numbers need not come from a manifold; the
+    # command route reads their (rational) chi vector, and the symbolic q_kj
+    # integrate them directly
     expected = F(0)
     for j in range(min(2 * k - 1, data.n) + 1):
         q = chern_moment_poly(k, j).subs({"nu": data.n - nu_value})
@@ -253,8 +257,24 @@ class TestAllKReader:
     @settings(max_examples=40, deadline=None)
     def test_one_expansion_serves_every_k(self, data, nu_value, kmax):
         expected = [moment_from_own_expansion(data, nu_value, k) for k in range(kmax + 1)]
+        assert bernoulli_moments_by_expansion(data, nu_value, kmax) == expected
         assert bernoulli_moments_from_chern(data, nu_value, kmax) == expected
         assert bernoulli_moment_from_chern(data, nu_value, kmax) == expected[-1]
+
+    @pytest.mark.parametrize("spec", [f"pn:{n}" for n in range(1, 9)] + ["k3"] + [f"genus:{g}" for g in range(10)])
+    def test_chi_vector_of_the_builtins(self, spec):
+        assert chi_vector(builtin_chern_data(spec)) == builtin_chi_vector(spec)
+
+    def test_rational_chi_vector(self):
+        # a made-up threefold: chi_0 = c_1 c_2 / 24, and c_1^3 does not enter
+        data = ChernData(3, {(3,): F(7, 5), (2, 1): F(-3), (1, 1, 1): F(11, 2)})
+        assert chi_vector(data).chi == (F(-1, 8), F(33, 40), F(33, 40), F(-1, 8))
+        assert bernoulli_moments_from_chern(data, F(5, 7), 10) == bernoulli_moments_by_expansion(data, F(5, 7), 10)
+
+    @pytest.mark.parametrize("spec, nu, kmax", [("pn:8", F(1, 3), 24), ("k3", F(1, 3), 24), ("genus:5", F(7, 2), 22)])
+    def test_chi_route_equals_the_expansion_at_the_old_kmax_cap(self, spec, nu, kmax):
+        data = builtin_chern_data(spec)
+        assert bernoulli_moments_from_chern(data, nu, kmax) == bernoulli_moments_by_expansion(data, nu, kmax)
 
     def test_builtins_match_chi_route(self):
         for spec in BUILTINS + ["pn:4"]:
@@ -264,8 +284,9 @@ class TestAllKReader:
             assert bernoulli_moments_from_chern(data, F(1, 2), 6) == expected
 
     def test_negative_kmax_is_refused(self):
-        with pytest.raises(ValueError, match="kmax"):
-            bernoulli_moments_from_chern(chern_data_k3(), 1, -1)
+        for route in (bernoulli_moments_from_chern, bernoulli_moments_by_expansion):
+            with pytest.raises(ValueError, match="kmax"):
+                route(chern_data_k3(), 1, -1)
 
 
 class TestBookkeepingProduct:

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from bermoments.cli import (
     MAX_APOLY_BITS_K,
     MAX_APOLY_K,
-    MAX_CHERN_BITS_KMAX,
     MAX_CHERN_DIMENSION,
-    MAX_CHERN_KMAX,
     MAX_EXPONENT,
     MAX_KMAX,
     MAX_NU_BITS_KMAX,
@@ -53,6 +51,16 @@ def test_theta(capsys):
     rows = [line.split("\t") for line in out.splitlines()]
     assert rows[2] == ["2", "-1/24"]
     assert rows[4] == ["4", "1/2880"]
+
+
+def test_theta_prints_the_series_coefficients(capsys):
+    # theta prints from the kernels; TruncatedSeries stays its oracle
+    from bermoments import theta_series
+
+    for order in range(65):
+        code, out, err = run(capsys, "theta", "--order", str(order))
+        expected = "".join(f"{k}\t{c}\n" for k, c in enumerate(theta_series(order).coeffs))
+        assert (code, out, err) == (0, expected, ""), order
 
 
 def test_apoly_monomials(capsys):
@@ -284,7 +292,7 @@ def test_joint_bit_caps_admit_their_bounds_and_refuse_one_bit_more(capsys):
     cases = [
         (lambda b: ("gamma", "--tpqr", "2,3,7", "--kmax", str(kmax), "--nu", "1/" + _with_bits(b)), nu_bits),
         (lambda b: ("manifold", "--chi=1,1", "--kmax", str(kmax), "--nu", _with_bits(b)), nu_bits),
-        (lambda b: ("manifold", "chern", "--builtin", "pn:2", "--kmax", "2", "--nu", _with_bits(b)), MAX_CHERN_BITS_KMAX // 2),
+        (lambda b: ("manifold", "chern", "--builtin", "pn:2", "--kmax", str(kmax), "--nu", _with_bits(b)), nu_bits),
         (lambda b: ("nu-threshold", "--tpqr", "2,3,7", "--k", "1", "--steps", "64", "--k-cap", "4",
                     "--nu-hi", _with_bits(b)), MAX_THRESHOLD_BITS_K // 4 - 64),
         (lambda b: ("apoly", "--k", "64", "--nu", "1/3", "--x=-" + _with_bits(b)), MAX_APOLY_BITS_K // 64 - 2),
@@ -434,6 +442,35 @@ def test_manifold_chern_file(tmp_path, capsys):
     assert out.splitlines() == ["0\t3", "1\t2"]
 
 
+def test_manifold_chern_file_with_rational_chern_numbers(tmp_path, capsys):
+    # numbers of no manifold: their chi vector (-1/8, 33/40, 33/40, -1/8) is rational
+    from bermoments import ChernData
+    from bermoments.oracles import bernoulli_moments_by_expansion
+
+    path = tmp_path / "made-up.chern"
+    path.write_text("n 3\npartition 3 value 7/5\npartition 2,1 value -3\npartition 1,1,1 value 11/2\n")
+    code, out, err = run(capsys, "manifold", "chern", "--file", str(path), "--nu", "5/7", "--kmax", "10")
+    data = ChernData(3, {(3,): F(7, 5), (2, 1): F(-3), (1, 1, 1): F(11, 2)})
+    expected = "".join(f"{k}\t{v}\n" for k, v in enumerate(bernoulli_moments_by_expansion(data, F(5, 7), 10)))
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_manifold_chern_expands_to_its_dimension_only(capsys, monkeypatch):
+    # the Chern numbers enter through one expansion to t^(2 floor(n/2)) at
+    # nu = 0, whatever --kmax and --nu are
+    from bermoments import chern
+
+    calls = []
+    twisted_series = chern._twisted_series
+    monkeypatch.setattr(chern, "_twisted_series", lambda *args: calls.append(args) or twisted_series(*args))
+    for spec, n in (("genus:3", 1), ("k3", 2), ("pn:5", 5), ("pn:8", 8)):
+        for nu, kmax in (("0", "0"), ("7/3", "1"), ("5/7", "64"), ("1/" + str(2**340 + 1), "24")):
+            calls.clear()
+            code, out, err = run(capsys, "manifold", "chern", "--builtin", spec, "--nu", nu, "--kmax", kmax)
+            assert code == 0 and err == "" and len(out.splitlines()) == int(kmax) + 1
+            assert [(m, t_order, cap, twist) for m, t_order, cap, twist in calls] == [(n, 2 * (n // 2), n, n)]
+
+
 def test_manifold_chern_requires_one_source(capsys):
     code, _, err = run(capsys, "manifold", "chern", "--nu", "2", "--kmax", "1")
     assert code == 2
@@ -558,7 +595,7 @@ UNREALIZABLE = [
          "--steps", str(MAX_STEPS + 1)),
         ("theta", "--order", str(MAX_ORDER + 1)),
         ("bernoulli", "--count", str(MAX_ORDER + 1)),
-        ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX + 1)),
+        ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", str(MAX_KMAX + 1)),
         ("manifold", "chern", "--builtin", f"pn:{MAX_CHERN_DIMENSION + 1}", "--nu", "1", "--kmax", "1"),
         ("manifold", "chern", "--builtin", "pn:100000", "--nu", "1", "--kmax", "1"),
         ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "-1"),
@@ -688,7 +725,7 @@ def test_caps_admit_their_bounds():
          "--k", str(MAX_THRESHOLD_K), "--k-cap", str(MAX_THRESHOLD_K)],
         ["theta", "--order", str(MAX_ORDER)],
         ["bernoulli", "--count", str(MAX_ORDER)],
-        ["manifold", "chern", "--builtin", "pn:8", "--nu", "1", "--kmax", str(MAX_CHERN_KMAX)],
+        ["manifold", "chern", "--builtin", "pn:8", "--nu", "1", "--kmax", str(MAX_KMAX)],
         ["gamma", "--tpqr", "2,3,7", "--nu", f"1e{MAX_EXPONENT}", "--kmax", "1"],
         ["apoly", "--k", "2", f"--x=-1.5e-{MAX_EXPONENT}", "--nu", "1"],
         ["gamma", "--weights", ",".join(["1/2"] * MAX_WEIGHTS), "--nu", "1", "--kmax", "2"],
@@ -709,7 +746,7 @@ def test_caps_admit_their_bounds():
     triple = f"{third},{third},{MAX_TPQR_MU + 1 - 2 * third}"
     parser.parse_args(["gamma", "--tpqr", triple, "--nu", "1", "--kmax", "1"])
     # the largest benchmark sizes sit inside the caps
-    assert MAX_KMAX >= 200 and MAX_APOLY_K >= 250 and MAX_THRESHOLD_K >= 26 and MAX_CHERN_KMAX >= 22
+    assert MAX_KMAX >= 200 and MAX_APOLY_K >= 250 and MAX_THRESHOLD_K >= 26
     assert MAX_WEIGHTS >= 5
 
 
@@ -779,6 +816,39 @@ def test_spectrum_file_entries_are_capped_against_the_order(tmp_path, capsys, mo
         code, out, err = run(capsys, argv[0], "--spectrum-file", str(path), *argv[1:])
         assert_one_error_line(code, out, err)
         assert message in err and len(calls) == runs
+
+
+def test_the_unit_of_the_multiplicities_counts_in_the_entries_cap(tmp_path, capsys, monkeypatch):
+    # every power sum carries the multiplicities over their lcm, the unit, so
+    # entries * (bits over the unit) * order is capped as well: rational
+    # multiplicities of a spectrum file with distinct long denominators, or a
+    # chi vector read off such Chern numbers, are refused before any power
+    # sum, and the unit is built only until it alone is above the cap
+    calls = _stop_at_the_power_sums(monkeypatch)
+    long_denominators = [10**1999 + 2 * i + 1 for i in range(200)]
+    spectrum = tmp_path / "rational.spectrum"
+    for denominators, message in [
+        (long_denominators, "(entries * bits of the centered spectrum) * --kmax"),
+        ([3] * 200, "power sums reached"),
+    ]:
+        lines = [f"alpha {sign}{i + 1}/401 mult 1/{d}" for i, d in enumerate(denominators) for sign in "-+"]
+        spectrum.write_text("\n".join(["n 1"] + lines) + "\n")
+        code, out, err = run(capsys, "gamma", "--spectrum-file", str(spectrum), "--nu", "1", "--kmax", "1")
+        assert_one_error_line(code, out, err)
+        assert message in err
+    assert len(calls) == 1
+    # eleven Chern numbers of a sixfold over distinct 2000-digit denominators:
+    # their chi vector has a unit of about 73000 bits, above the cap at --kmax 256
+    from bermoments.chern import partitions_of
+
+    chern = tmp_path / "rational.chern"
+    values = zip(partitions_of(6), long_denominators)
+    chern.write_text("n 6\n" + "".join(f"partition {','.join(map(str, p))} value 1/{d}\n" for p, d in values))
+    for kmax, message in [(MAX_KMAX, "(entries * bits of the centered chi vector) * --kmax"), (2, "power sums reached")]:
+        code, out, err = run(capsys, "manifold", "chern", "--file", str(chern), "--nu", "1", "--kmax", str(kmax))
+        assert_one_error_line(code, out, err)
+        assert message in err
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["spectrum", "chern"])
@@ -906,9 +976,9 @@ def test_key_error_is_printed_without_quotes(capsys, monkeypatch):
     # whose str() would quote its message
     from bermoments import chern
 
-    expand = chern.bernoulli_moments_from_chern
+    chi_vector = chern.chi_vector
     partial = chern.ChernData(2, {(2,): 24})
-    monkeypatch.setattr(chern, "bernoulli_moments_from_chern", lambda data, nu, kmax: expand(partial, nu, kmax))
+    monkeypatch.setattr(chern, "chi_vector", lambda data: chi_vector(partial))
     code, out, err = run(capsys, "manifold", "chern", "--builtin", "k3", "--nu", "0", "--kmax", "1")
     assert (code, out, err) == (2, "", "error: missing Chern number for partition (1, 1)\n")
 
@@ -932,7 +1002,11 @@ def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys
     monkeypatch.setattr(moments, "_power_sums", lambda *args: calls.append(args) or power_sums(*args))
     path = tmp_path / "t237.spectrum"
     path.write_text(run(capsys, "spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7")[1])
-    argvs = [("manifold", "--chi=2,-20,2", "--nu", "7/3", "--kmax", "30")]
+    argvs = [
+        ("manifold", "--chi=2,-20,2", "--nu", "7/3", "--kmax", "30"),
+        ("manifold", "chern", "--builtin", "k3", "--nu", "7/3", "--kmax", "30"),
+        ("manifold", "chern", "--builtin", "pn:5", "--nu", "1/2", "--kmax", "30"),
+    ]
     for source in (("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23"), ("--spectrum-file", str(path))):
         for command, *rest in (
             ("gamma", "--nu", "5/2", "--kmax", "30"),
@@ -948,9 +1022,8 @@ def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys
 
 
 def test_manifold_chern_reads_every_k_from_one_expansion(capsys):
-    # pn:6..8 at the kmax cap as well, where the expansion is largest
-    for n, nu, kmax in [(3, "1/2", 6), (6, "1/3", MAX_CHERN_KMAX), (7, "1/3", MAX_CHERN_KMAX),
-                        (8, "1/3", MAX_CHERN_KMAX)]:
+    # the one expansion gives the chi vector; pn:6..8 at the kmax cap as well
+    for n, nu, kmax in [(3, "1/2", 6), (6, "1/3", MAX_KMAX), (7, "1/3", MAX_KMAX), (8, "1/3", MAX_KMAX)]:
         argv = ("--nu", nu, "--kmax", str(kmax))
         code, out, _ = run(capsys, "manifold", "chern", "--builtin", f"pn:{n}", *argv)
         assert code == 0

@@ -451,6 +451,19 @@ class TestManifoldMoments:
     def test_chi_vector_requires_serre_symmetry(self):
         with pytest.raises(ValueError, match="Serre"):
             ChiVector((1, 2, 3))
+        with pytest.raises(ValueError, match="Serre"):
+            ChiVector((F(1, 2), 3, F(1, 3)))
+
+    def test_chi_vector_holds_exact_rationals(self):
+        # the chi vector of arbitrary Chern numbers may be rational; no entry is rounded
+        chi = ChiVector((F(1, 2), 3, F(1, 2)))
+        assert chi.chi == (F(1, 2), 3, F(1, 2))
+        assert all(type(c) is F for c in chi.chi)
+        assert moments_of_chi(chi, 4).values == (4, 1, 1)  # sum_p chi_p (p - 1)^2k
+
+    def test_chi_vector_refuses_floats(self):
+        with pytest.raises(TypeError, match="float"):
+            ChiVector((1.9, 3, 1.9))
 
     def test_k3_values(self):
         v = moments_of_chi(ChiVector((2, 20, 2)), 10)

@@ -50,7 +50,12 @@ CASES = [
         "MomentSeries(values=(Fraction(2, 1), Fraction(1, 9)), order=2, nu=None)",
         {"values": (2, F(1, 9)), "order": 2, "nu": 1},
     ),
-    (ChiVector, {"chi": (1, -1, 1)}, "ChiVector(chi=(1, -1, 1))", {"chi": (1, 0, 1)}),
+    (
+        ChiVector,
+        {"chi": (1, -1, 1)},
+        "ChiVector(chi=(Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1)))",
+        {"chi": (1, 0, 1)},
+    ),
     (
         TruncatedSeries,
         {"coeffs": (1, 0, F(1, 2))},
