@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
+from . import MAX_CHERN_DIMENSION
 from .kernels import _theta_values
 from .moments import ChiVector, gamma_of
 
@@ -135,32 +136,46 @@ class ChernData:
         return cls(n, numbers)
 
 
-def _integrate(graded: dict, data: ChernData, j: int) -> Fraction:
-    """Pair the weight-j part of a polynomial in the Chern classes with c_(n-j)."""
+def _integrate(graded: dict, data: ChernData, scaled: dict, j: int) -> list:
+    """The terms (c, N) of the weight-j part of a polynomial in the Chern classes paired with c_(n-j).
+
+    N is the Chern number of each term, as the integer `scaled` holds it over
+    one unit; one that `data` lacks raises its KeyError.
+    """
     rest = (data.n - j,) if j < data.n else ()
-    return sum((c * data.number(lam + rest) for lam, c in graded.items() if sum(lam) == j), Fraction())
+    keys = ((c, _merge(lam, rest)) for lam, c in graded.items() if sum(lam) == j)
+    return [(c, scaled[key] if key in scaled else data.number(key)) for c, key in keys]
 
 
-def _expansion_moments(data: ChernData, nu, kmax: int) -> list:
-    """Gamma_2k(V(X), nu) for k = 0..kmax, read off one expansion to t^(2 kmax) at n - nu.
+def _expansion_sums(data: ChernData, nu, kmax: int) -> tuple:
+    """(sums, D): Gamma_2k(V(X), nu) = sums[k] / D for k = 0..kmax, from one expansion to t^(2 kmax) at n - nu.
 
     Every q_kj of every k is the weight-j part of that expansion, with
     m = cap = n (stable in m, see the module docstring); the coefficients of
     a lower order do not depend on the order the expansion is carried to.
-    :func:`chi_vector` reads it at nu = 0 only; at any other nu it is the
-    oracle ``oracles.bernoulli_moments_by_expansion`` of
+    The Chern numbers are written over one unit once, and the series
+    coefficients over the lcm of their small denominators, so each sum is
+    one integer sum and no Fraction of the unit's size is added.
+    :func:`chi_vector` reads the expansion at nu = 0 only; at any other nu
+    it is the oracle ``oracles.bernoulli_moments_by_expansion`` of
     :func:`bernoulli_moments_from_chern`.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     series = _twisted_series(data.n, 2 * kmax, data.n, data.n - Fraction(nu))
-    values = [data.number((data.n,))]
+    unit = lcm(*(value.denominator for value in data.numbers.values()))
+    scaled = {key: value.numerator * (unit // value.denominator) for key, value in data.numbers.items()}
+    # Gamma_0 pairs the constant 1 with c_n
+    rows = [_integrate(series[0], data, scaled, 0)]
     for k in range(1, kmax + 1):
-        total = Fraction(0)
-        for j in range(0, min(2 * k - 1, data.n) + 1):
-            total += (-1) ** j * _integrate(series[2 * k - j], data, j)
-        values.append(factorial(2 * k) * total)
-    return values
+        js = range(0, min(2 * k - 1, data.n) + 1)
+        rows.append([((-1) ** j * c, number) for j in js for c, number in _integrate(series[2 * k - j], data, scaled, j)])
+    common = lcm(*(c.denominator for row in rows for c, _ in row))
+    sums = [
+        factorial(2 * k) * sum(c.numerator * (common // c.denominator) * number for c, number in row)
+        for k, row in enumerate(rows)
+    ]
+    return sums, common * unit
 
 
 def chi_vector(data: ChernData) -> ChiVector:
@@ -173,7 +188,7 @@ def chi_vector(data: ChernData) -> ChiVector:
     Arbitrary Chern numbers give rational chi.
     """
     n, half = data.n, data.n // 2
-    moments = _expansion_moments(data, 0, half)
+    sums, denominator = _expansion_sums(data, 0, half)  # V_2k = sums[k] / denominator
     squares = [(2 * p - n) ** 2 for p in range(half + 1)]
     chi = []
     for p, d in enumerate(squares):
@@ -183,7 +198,7 @@ def chi_vector(data: ChernData) -> ChiVector:
             if q != p:
                 poly = [a - e * b for a, b in zip([0] + poly, poly + [0])]
                 divisor *= d - e
-        chi.append(sum(c * 4**k * v for k, (c, v) in enumerate(zip(poly, moments))) / divisor)
+        chi.append(Fraction(sum(c * 4**k * v for k, (c, v) in enumerate(zip(poly, sums))), divisor * denominator))
     return ChiVector(tuple(chi + chi[: n - half][::-1]))
 
 
@@ -264,3 +279,27 @@ def builtin_chi_vector(spec: str) -> ChiVector:
     return ChiVector(
         _builtin(spec, lambda n: (1,) * (n + 1), lambda: (2, 20, 2), lambda g: (1 - g, 1 - g))
     )
+
+
+# -- the parsers of manifold chern --------------------------------------------------
+
+
+def _chern_dimension(n: int) -> int:
+    if n > MAX_CHERN_DIMENSION:
+        raise ValueError(f"dimension {n} is above the cap of {MAX_CHERN_DIMENSION}")
+    return n
+
+
+def _parse_chern_file(path: str) -> ChernData:
+    from .spectra import _read_text
+
+    data = ChernData.from_text(_read_text(path))
+    for partition in partitions_of(_chern_dimension(data.n)):
+        if partition not in data.numbers:
+            raise ValueError(f"missing Chern number for partition {partition}")
+    return data
+
+
+def _parse_builtin(spec: str) -> ChernData:
+    # the cap is checked on N before pn:N lists the partitions of N
+    return _builtin(spec, lambda n: chern_data_pn(_chern_dimension(n)), chern_data_k3, chern_data_genus)

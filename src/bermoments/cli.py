@@ -10,47 +10,38 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import factorial, lcm
+from importlib import import_module
+from math import factorial
 
-# MAX_EXPONENT caps the decimal exponent of each rational argument (--nu,
-# --x, --nu-hi, each --weights part) as it caps the values of the text files
-from . import MAX_EXPONENT, _fraction
+# The caps of the size options live in the package, beside MAX_EXPONENT, which
+# caps the decimal exponent of each rational argument (--nu, --x, --nu-hi, each
+# --weights part) as it caps the values of the text files; they are bound here
+# too, as bermoments.cli.MAX_...
+from . import (
+    MAX_APOLY_BITS_K,
+    MAX_APOLY_K,
+    MAX_CHERN_DIMENSION,
+    MAX_EXPONENT,
+    MAX_FILE_CHARS,
+    MAX_KMAX,
+    MAX_NU_BITS_KMAX,
+    MAX_ORDER,
+    MAX_POWER_SUM_BITS,
+    MAX_STEPS,
+    MAX_THRESHOLD_BITS_K,
+    MAX_THRESHOLD_K,
+    MAX_TPQR_MU,
+    MAX_WEIGHTS,
+    _check_bits,
+    _fraction,
+)
 
 # The computation modules are imported by the handlers and argument types
 # that use them, so each command loads only what its answer needs.
 
-# Upper bounds of the size options.  Each is checked as the arguments are
-# parsed, before any series is built, so that no input runs for minutes; the
-# README lists the slowest accepted input of each command.
-MAX_KMAX = 256  # --kmax of gamma, check, trace and manifold (--chi or chern)
-MAX_ORDER = 512  # --order of theta and --count of bernoulli
-MAX_APOLY_K = 256  # --k of apoly
-MAX_THRESHOLD_K = 64  # --k and --k-cap of nu-threshold
-MAX_STEPS = 64  # --steps of nu-threshold; each step is one transform
-MAX_CHERN_DIMENSION = 8  # the dimension n of manifold chern (--builtin or --file)
-MAX_TPQR_MU = 2**14  # mu = p + q + r - 1, the spectrum size, of --tpqr and spectrum tpqr
-MAX_WEIGHTS = 64  # --weights parts; r weights 1/2 pass the dense cap but cost about r^3
-# characters of a --spectrum-file or chern --file; the longest spectrum qh output found has 6.02 * 10^7
-MAX_FILE_CHARS = 2**26
-
-# Joint caps on the bits of a rational argument (of its larger term), or of the
-# centered pairs of a --spectrum-file or --chi, times its order, since row k
-# has k times as many bits.
-MAX_NU_BITS_KMAX = 2**16  # (bits of nu, or of a source) * --kmax of gamma, check, trace, manifold
-MAX_THRESHOLD_BITS_K = 2**15  # (bits of --nu-hi + --steps, or of a file) * --k-cap of nu-threshold
-MAX_APOLY_BITS_K = 2**18  # (bits of --x + bits of --nu) * --k of apoly
-# (entries) * (bits) * --kmax (or --k-cap) of a --spectrum-file or a chi vector:
-# the power sums hold about twice as many bits at their last order
-MAX_POWER_SUM_BITS = 10**8
-
 
 def _bits(value) -> int:
     return max(abs(value.numerator).bit_length(), value.denominator.bit_length())
-
-
-def _check_bits(bits: int, size: int, what: str, cap: int):
-    if bits * size > cap:
-        raise ValueError(f"{what} = {bits} * {size} = {bits * size} is above the cap of {cap}")
 
 
 def _type_error(parse):
@@ -65,7 +56,18 @@ def _type_error(parse):
     return parse_or_fail
 
 
+def _route_parser(module: str, name: str):
+    """The parser `name` of the module of its route, imported when argparse first calls it."""
+    return _type_error(lambda text: getattr(import_module(f"{__package__}.{module}"), name)(text))
+
+
 _parse_fraction = _type_error(_fraction)
+_parse_tpqr = _route_parser("spectra", "_parse_tpqr")
+_parse_puiseux = _route_parser("spectra", "_parse_puiseux")
+_parse_spectrum_file = _route_parser("spectra", "_parse_spectrum_file")
+_parse_chern_file = _route_parser("chern", "_parse_chern_file")
+_parse_builtin = _route_parser("chern", "_parse_builtin")
+_parse_chi = _route_parser("moments", "_parse_chi")
 
 
 def _at_most(limit: int, least: int = 0):
@@ -85,87 +87,13 @@ def _at_most(limit: int, least: int = 0):
 
 @_type_error
 def _parse_weights(text: str) -> WeightSystem:
-    from .spectra import WeightSystem
-
     parts = text.split(",")
     if len(parts) > MAX_WEIGHTS:
         raise ValueError(f"{len(parts)} weights are above the cap of {MAX_WEIGHTS}")
-    return WeightSystem(tuple(_fraction(part) for part in parts))
+    weights = tuple(_fraction(part) for part in parts)  # an unreadable part loads no weights module
+    from .weights import WeightSystem
 
-
-def _tpqr_params(p: int, q: int, r: int) -> TpqrParams:
-    from .spectra import TpqrParams
-
-    params = TpqrParams(p, q, r)
-    if params.mu > MAX_TPQR_MU:
-        raise ValueError(f"mu = p + q + r - 1 = {params.mu} is above the cap of {MAX_TPQR_MU}")
-    return params
-
-
-@_type_error
-def _parse_tpqr(text: str) -> TpqrParams:
-    p, q, r = (int(part) for part in text.split(","))
-    return _tpqr_params(p, q, r)
-
-
-@_type_error
-def _parse_puiseux(text: str) -> PuiseuxData:
-    from .spectra import PuiseuxData
-
-    pairs = (chunk.partition(":") for chunk in text.split(","))
-    return PuiseuxData(tuple((int(n), int(r)) for n, _, r in pairs))
-
-
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read(MAX_FILE_CHARS + 1)  # no more of the file is read
-    if len(text) > MAX_FILE_CHARS:
-        raise ValueError(f"the file holds more than the cap of {MAX_FILE_CHARS} characters")
-    return text
-
-
-@_type_error
-def _parse_spectrum_file(path: str) -> Spectrum:
-    from .spectra import MAX_DENSE_LENGTH, Spectrum
-
-    text = _read_text(path)
-    # counted before any value is parsed; every spectrum qh or curve output fits
-    records = sum(1 for line in text.splitlines() if line.strip()[:1] not in ("", "#"))
-    if records > MAX_DENSE_LENGTH:
-        raise ValueError(f"{records} record lines are above the cap of {MAX_DENSE_LENGTH}")
-    return Spectrum.from_text(text)
-
-
-def _chern_dimension(n: int) -> int:
-    if n > MAX_CHERN_DIMENSION:
-        raise ValueError(f"dimension {n} is above the cap of {MAX_CHERN_DIMENSION}")
-    return n
-
-
-@_type_error
-def _parse_chern_file(path: str) -> ChernData:
-    from .chern import ChernData, partitions_of
-
-    data = ChernData.from_text(_read_text(path))
-    for partition in partitions_of(_chern_dimension(data.n)):
-        if partition not in data.numbers:
-            raise ValueError(f"missing Chern number for partition {partition}")
-    return data
-
-
-@_type_error
-def _parse_builtin(spec: str) -> ChernData:
-    from .chern import _builtin, chern_data_genus, chern_data_k3, chern_data_pn
-
-    # the cap is checked on N before pn:N lists the partitions of N
-    return _builtin(spec, lambda n: chern_data_pn(_chern_dimension(n)), chern_data_k3, chern_data_genus)
-
-
-@_type_error
-def _parse_chi(text: str) -> ChiVector:
-    from .moments import ChiVector
-
-    return ChiVector(tuple(int(part) for part in text.split(",")))
+    return WeightSystem(weights)
 
 
 def _add_spectrum_source(parser: argparse.ArgumentParser):
@@ -178,44 +106,15 @@ def _add_spectrum_source(parser: argparse.ArgumentParser):
 
 def _spectrum_from_args(args) -> Spectrum | WeightSystem:
     """The spectrum the arguments name; --weights is passed on as its weight system."""
-    from .spectra import spectrum_curve, spectrum_tpqr
-
     if args.weights is not None:
         return args.weights
+    if args.spectrum_file is not None:
+        return args.spectrum_file
+    from .spectra import spectrum_curve, spectrum_tpqr
+
     if args.tpqr is not None:
         return spectrum_tpqr(args.tpqr)
-    if args.puiseux is not None:
-        return spectrum_curve(args.puiseux)
-    return args.spectrum_file
-
-
-def _lcm_until(denominators, most: int) -> int:
-    """The lcm of the distinct denominators, built only until it has more than `most` bits."""
-    out = 1
-    for denominator in set(denominators):
-        if (out := lcm(out, denominator)).bit_length() > most:
-            break
-    return out
-
-
-def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
-    """Cap the bits of the centered pairs of a --spectrum-file or a chi vector (the larger of their
-    scale, the lcm of their denominators, and of their largest numerator over it) to `cap`, and
-    (entries) * (those bits, over the unit too: the lcm of the denominators of the multiplicities)
-    to MAX_POWER_SUM_BITS, each times the order, before any power sum runs.  The order counts
-    as at least 1, since the power sums form the scale at every order, and the scale and the
-    unit are built only until each alone is above a cap."""
-    if source is None:
-        return
-    size = max(size, 1)
-    centered = source.centered()  # symmetric about 0, so the last is the largest
-    most = MAX_POWER_SUM_BITS // (len(centered) * size)
-    scale = _lcm_until((a.denominator for a, _ in centered), min(cap // size, most))
-    largest = max(scale, centered[-1][0] * scale)
-    _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
-    unit = _lcm_until((m.denominator for _, m in centered), most)
-    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
-    _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
+    return spectrum_curve(args.puiseux)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -335,7 +234,7 @@ def _cmd_apoly(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    from .spectra import spectrum_curve, spectrum_from_weights, spectrum_tpqr
+    from .spectra import _tpqr_params, spectrum_curve, spectrum_from_weights, spectrum_tpqr
 
     if args.kind == "qh":
         spectrum = spectrum_from_weights(args.weights)
@@ -351,29 +250,33 @@ def _cmd_spectrum(args) -> int:
 
 
 def _check_kmax(nu, source, kmax: int, name: str = "spectrum"):
-    """The joint caps against --kmax: of the bits of nu, then of a --spectrum-file or a chi vector."""
+    """The joint caps against --kmax: of the bits of nu, then of a --spectrum-file or a chi vector.
+
+    Returns the centered pairs of that source (None without one), which its
+    transform then reads.
+    """
+    from .moments import _check_source
+
     _check_bits(_bits(nu), kmax, "(bits of nu) * --kmax", MAX_NU_BITS_KMAX)
-    _check_source(source, name, kmax)
+    return _check_source(source, name, kmax)
 
 
 def _cmd_gamma(args) -> int:
-    from .moments import gamma_of
+    from .moments import conjecture_nu, gamma_of
 
     spectrum = _spectrum_from_args(args)
-    nu = args.nu
-    if nu is None:  # only --mode loads harness
-        from .harness import conjecture_nu
-        nu = conjecture_nu(spectrum, args.mode)
-    _check_kmax(nu, args.spectrum_file, args.kmax)
-    return _print_rows(gamma_of(spectrum, 2 * args.kmax)(nu).values)
+    nu = conjecture_nu(spectrum, args.mode) if args.nu is None else args.nu
+    centered = _check_kmax(nu, args.spectrum_file, args.kmax)
+    return _print_rows(gamma_of(spectrum, 2 * args.kmax, centered)(nu).values)
 
 
 def _cmd_check(args) -> int:
-    from .harness import check_conjecture, conjecture_nu
+    from .harness import check_conjecture
+    from .moments import conjecture_nu
 
     spectrum = _spectrum_from_args(args)
-    _check_kmax(conjecture_nu(spectrum, args.mode), args.spectrum_file, args.kmax)
-    report = check_conjecture(spectrum, args.mode, args.kmax)
+    centered = _check_kmax(conjecture_nu(spectrum, args.mode), args.spectrum_file, args.kmax)
+    report = check_conjecture(spectrum, args.mode, args.kmax, centered)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
     print(f"overall\t{'pass' if report.overall else 'fail'}")
@@ -383,26 +286,29 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
-    _check_kmax(args.nu, args.spectrum_file, args.kmax)
+    centered = _check_kmax(args.nu, args.spectrum_file, args.kmax)
     spectrum = _spectrum_from_args(args)
-    for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax), start=1):
+    for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax, centered), start=1):
         print(f"{k}\t{value:.12g}")
     return 0
 
 
 def _cmd_nu_threshold(args) -> int:
     from .harness import nu_threshold
+    from .moments import _check_source
 
     k_cap = args.k if args.k_cap is None else args.k_cap
     bits = _bits(args.nu_hi) + args.steps
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
-    _check_source(args.spectrum_file, "spectrum", k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
+    centered = _check_source(args.spectrum_file, "spectrum", k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
-    print(nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap))
+    print(nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap, centered))
     return 0
 
 
 def _cmd_manifold(args) -> int:
+    from .moments import gamma_of
+
     chi, nu, kmax = args.chi, args.chi_nu, args.chi_kmax
     if args.mode == "chern":
         if (chi, nu, kmax) != (None, None, None):
@@ -412,10 +318,8 @@ def _cmd_manifold(args) -> int:
         chi, nu, kmax = chi_vector(args.builtin or args.file), args.nu, args.kmax
     elif None in (chi, nu, kmax):
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
-    _check_kmax(nu, chi, kmax, "chi vector")
-    from .moments import gamma_of
-
-    return _print_rows(gamma_of(chi, 2 * kmax)(nu).values)
+    centered = _check_kmax(nu, chi, kmax, "chi vector")
+    return _print_rows(gamma_of(chi, 2 * kmax, centered)(nu).values)
 
 
 _HANDLERS = {

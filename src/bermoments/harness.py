@@ -11,7 +11,8 @@ larger nu (monotone in nu); nothing checks that assumption.
 
 The checks, the threshold search and the trace sequence take a Spectrum or
 a WeightSystem and reach nu -> Gamma(V, nu) through moments.gamma_of, the one
-nu-entry of every source; a weight system's spectrum is never built.
+nu-entry of every source; a weight system's spectrum is never built.  Each
+passes on the centered pairs of a spectrum that its caller has built.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
@@ -46,25 +47,18 @@ class ConjectureReport:
         return all(ok for _, _, ok in self.rows)
 
 
-def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:
-    """The nu used by each conjecture: n+1 for (W), the spread for (S)."""
-    if mode == "W":
-        return Fraction(s.n + 1)
-    if mode == "S":
-        return s.spread
-    raise ValueError("mode must be 'W' or 'S'")
-
-
-def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> ConjectureReport:
+def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int, centered=None) -> ConjectureReport:
     """Exact signs of (-1)^k Gamma_2k for k = 0..k_max.
 
     Mode 'W' demands strict positivity, mode 'S' allows zeros.  Exact
     rational comparison leaves no tolerance questions.
     """
+    from .moments import conjecture_nu  # here, so that moments alone binds the name
+
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     nu = conjecture_nu(s, mode)
-    gamma = gamma_of(s, 2 * k_max)(nu)
+    gamma = gamma_of(s, 2 * k_max, centered)(nu)
     rows = []
     for k in range(k_max + 1):
         value = gamma.moment(2 * k)
@@ -80,6 +74,7 @@ def nu_threshold(
     nu_hi,
     steps: int,
     k_cap: int | None = None,
+    centered=None,
 ) -> Fraction:
     """Upper estimate of the smallest nu with nonnegative signs from index k up.
 
@@ -99,7 +94,7 @@ def nu_threshold(
     cap = k if k_cap is None else k_cap
     if cap < k:
         raise ValueError("k_cap must be >= k")
-    gamma_at = gamma_of(s, 2 * cap)
+    gamma_at = gamma_of(s, 2 * cap, centered)
 
     def passes(nu: Fraction) -> bool:
         gamma = gamma_at(nu)
@@ -121,7 +116,7 @@ def nu_threshold(
     return hi
 
 
-def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
+def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int, centered=None) -> list:
     """The cosine-normalized Bernoulli moments for k = 1..k_max, as floats.
 
     Entry k is (-1)^k Gamma_2k * (2pi)^2k Gamma(nu) / (2 (2k)! (2k)^(nu-1)),
@@ -141,7 +136,7 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
         raise ValueError(f"nu must be a positive number within the float range, not {nu}")
     from .bernpoly import scaled_to_cosine  # here: check and nu-threshold never load bernpoly
 
-    gamma = gamma_of(s, 2 * k_max)(nu)
+    gamma = gamma_of(s, 2 * k_max, centered)(nu)
     rows = []
     for k in range(1, k_max + 1):
         try:

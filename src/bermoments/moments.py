@@ -16,7 +16,9 @@ coefficients.
 sums of a spectrum or a chi vector, then one integer sum per row, or one
 exponential of the weight product of a weight system.  Its oracles (the raw
 series, the transform of a series given by its values and the closed
-product forms) are in :mod:`bermoments.oracles`.
+product forms) are in :mod:`bermoments.oracles`.  The nu of each sign
+conjecture, the parser of ``--chi`` and the caps on the centered pairs of a
+``--spectrum-file`` or a chi vector are here too.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from . import MAX_NU_BITS_KMAX, MAX_POWER_SUM_BITS, _check_bits
 from ._record import record
 from .kernels import _binomial_row, _coeff, _even_exp, _even_mul, _scaled_zero_values, _theta_values
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra
+if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra or weights
     from .series import TruncatedSeries
-    from .spectra import Spectrum, WeightSystem
+    from .spectra import Spectrum
+    from .weights import WeightSystem
 
 
 @record
@@ -142,18 +146,20 @@ def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSerie
     return MomentSeries(values, order, nu)
 
 
-def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
+def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int, centered=None):
     """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector or a weight system.
 
-    The power sums of the source run once.  Each nu is then one integer sum per
-    row (:func:`_transform`, on binomial rows built once), or, for a weight
-    system checked as spectrum_from_weights checks it, one exp of its weight
-    product.
+    The power sums of the source run once, on `centered`, the pairs of
+    ``source.centered()`` when the caller has built them already.  Each nu is
+    then one integer sum per row (:func:`_transform`, on binomial rows built
+    once), or, for a weight system checked as spectrum_from_weights checks it,
+    one exp of its weight product.
     """
     if hasattr(source, "centered"):  # a Spectrum or a ChiVector
-        integers, rows = _power_sums(source.centered(), order), _even_rows(order)
+        pairs = source.centered() if centered is None else centered
+        integers, rows = _power_sums(pairs, order), _even_rows(order)
         return lambda nu: _transform(*integers, order, nu, rows)
-    from .spectra import _weight_quotient
+    from .weights import _weight_quotient
 
     _weight_quotient(source)
     return _qh_gamma(source, order)
@@ -182,6 +188,49 @@ def _qh_gamma(ws: WeightSystem, order: int):
         return MomentSeries(values, order, nu)
 
     return gamma
+
+
+def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:
+    """The nu used by each conjecture: n+1 for (W), the spread for (S)."""
+    if mode == "W":
+        return Fraction(s.n + 1)
+    if mode == "S":
+        return s.spread
+    raise ValueError("mode must be 'W' or 'S'")
+
+
+def _lcm_until(denominators, most: int) -> int:
+    """The lcm of the distinct denominators, built only until it has more than `most` bits."""
+    out = 1
+    for denominator in set(denominators):
+        if (out := lcm(out, denominator)).bit_length() > most:
+            break
+    return out
+
+
+def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
+    """The centered pairs of a --spectrum-file or a chi vector, once their bits are capped.
+
+    The bits of the pairs (the larger of their scale, the lcm of their
+    denominators, and of their largest numerator over it) are capped to `cap`,
+    and (entries) * (those bits, over the unit too: the lcm of the
+    denominators of the multiplicities) to MAX_POWER_SUM_BITS, each times the
+    order, before any power sum runs.  The order counts as at least 1, since
+    the power sums form the scale at every order, and the scale and the unit
+    are built only until each alone is above a cap.  None gives None.
+    """
+    if source is None:
+        return None
+    size = max(size, 1)
+    centered = source.centered()  # symmetric about 0, so the last is the largest
+    most = MAX_POWER_SUM_BITS // (len(centered) * size)
+    scale = _lcm_until((a.denominator for a, _ in centered), min(cap // size, most))
+    largest = max(scale, centered[-1][0] * scale)
+    _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
+    unit = _lcm_until((m.denominator for _, m in centered), most)
+    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
+    _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
+    return centered
 
 
 # -- compact complex manifolds ---------------------------------------------------
@@ -214,3 +263,7 @@ class ChiVector:
     def centered(self) -> tuple:
         """The pairs (p - n/2, chi_p), symmetric about 0 by Serre symmetry."""
         return tuple((Fraction(2 * p - self.n, 2), c) for p, c in enumerate(self.chi))
+
+
+def _parse_chi(text: str) -> ChiVector:
+    return ChiVector(tuple(int(part) for part in text.split(",")))

@@ -40,9 +40,7 @@ from .bernpoly import (
     centered_bernoulli_value,
     scaled_to_cosine,
 )
-# Gamma read off the expansion at n - nu: the oracle of chern.bernoulli_moments_from_chern
-from .chern import _expansion_moments as bernoulli_moments_by_expansion
-from .chern import _twisted_series
+from .chern import _expansion_sums, _twisted_series
 from .kernels import DEFAULT_ORDER, _even_exp, _even_mul, _theta_values, bernoulli_numbers
 from .moments import MomentSeries, _even_rows, _power_sums, _qh_gamma, _transform
 from .polynomials import MPoly
@@ -428,7 +426,14 @@ def curve_correction_terms(k: int, n1: int, n2: int, w1: int, w2: int) -> list:
     return terms
 
 
-# -- the q_kj polynomials as MPoly (chern) ------------------------------------
+# -- the q_kj polynomials as MPoly, and Gamma off the expansion (chern) ---------
+
+
+def bernoulli_moments_by_expansion(data, nu, kmax: int) -> list:
+    """Gamma_2k(V(X), nu) for k = 0..kmax, read off one expansion at n - nu: the oracle of
+    ``chern.bernoulli_moments_from_chern``, which reads the expansion at nu = 0 only."""
+    sums, denominator = _expansion_sums(data, nu, kmax)
+    return [Fraction(total, denominator) for total in sums]
 
 
 def _as_mpoly(graded: dict, weight: int) -> MPoly:

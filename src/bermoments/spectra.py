@@ -10,25 +10,31 @@ Constructors:
 
 * :func:`spectrum_from_weights` expands the product generating function of a
   quasihomogeneous singularity with normalized weights in (0, 1/2] by exact
-  division of its numerator by each binomial 1 - S^a.
+  division of its numerator by each binomial 1 - S^a (the dense expansion of
+  :mod:`bermoments.weights`).
 * :func:`spectrum_tpqr` builds the hyperbolic surface singularity spectrum
   {0, 1} plus the interior fractions with denominators p, q, r.
 * :func:`spectrum_curve` expands the Eisenbud-Neumann generating function of
   an irreducible plane curve branch given by its Puiseux pairs.
 
 The Thom-Sebastiani join and spectra given directly are in
-:mod:`bermoments.oracles`.
+:mod:`bermoments.oracles`.  The parsers of ``--tpqr``, ``--puiseux`` and
+``--spectrum-file`` are here too, each a plain ValueError parser that the
+command line imports when it first reads its option.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 
-from . import _fraction
+from . import MAX_DENSE_LENGTH, MAX_FILE_CHARS, MAX_TPQR_MU, _fraction
 from ._record import record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: --tpqr and spectrum tpqr never load weights
+    from .weights import WeightSystem
 
 
 def _read_records(text: str, record: str, label: str, kind: str) -> tuple:
@@ -148,39 +154,6 @@ class Spectrum:
 
 
 @record
-class WeightSystem:
-    """Normalized weights of a quasihomogeneous singularity."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
-        if not ws:
-            raise ValueError("need at least one weight")
-        for w in ws:
-            if not 0 < w <= Fraction(1, 2):
-                raise ValueError(f"weight {w} outside (0, 1/2]")
-        object.__setattr__(self, "weights", ws)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights) - 1
-
-    @property
-    def mu(self) -> Fraction:
-        """prod(1/w - 1) over the weights."""
-        mu = Fraction(1)
-        for w in self.weights:
-            mu *= 1 / w - 1
-        return mu
-
-    @property
-    def spread(self) -> Fraction:
-        """sum(1 - 2w) over the weights."""
-        return sum((1 - 2 * w for w in self.weights), Fraction(0))
-
-
-@record
 class TpqrParams:
     """Parameters of the surface singularity family T_{p,q,r}."""
 
@@ -258,58 +231,6 @@ class PuiseuxData:
         )
 
 
-# -- exact dense polynomial helpers (integer coefficients in the variable S) --
-
-# Largest dense expansion (coefficients of S = T^(1/D)) a spectrum may need;
-# (1/11, 1/13, 1/17, 1/19) needs 4 * 46189 + 1 = 184757.
-MAX_DENSE_LENGTH = 2**18
-
-
-def _dense_length(factors: int, denom: int) -> int:
-    """factors * denom + 1, refused above MAX_DENSE_LENGTH before anything is allocated."""
-    length = factors * denom + 1
-    if length > MAX_DENSE_LENGTH:
-        raise ValueError(
-            f"the expansion over the common denominator {denom} needs {length} "
-            f"coefficients, above the cap of {MAX_DENSE_LENGTH}"
-        )
-    return length
-
-
-def _binomial_quotient(steps, denom: int) -> list:
-    """prod (S^a - S^denom)/(1 - S^a) over a in `steps`, as dense coefficients.
-
-    The sparse numerator is expanded first.  Each division by 1 - S^a is the
-    strided prefix sum q[e] += q[e - a]; the quotient is exact iff the top a
-    coefficients of that sum vanish, and otherwise a ValueError reports the
-    remainder.
-    """
-    quot = [0] * _dense_length(len(steps), denom)
-    num = {0: 1}
-    for a in steps:
-        product: dict = {}
-        for e, c in num.items():
-            product[e + a] = product.get(e + a, 0) + c
-            product[e + denom] = product.get(e + denom, 0) - c
-        num = product
-    for e, c in num.items():
-        quot[e] = c
-    for a in steps:
-        for r in range(a):
-            quot[r::a] = accumulate(quot[r::a])
-        if any(quot[-a:]):
-            raise ValueError(f"polynomial division by 1 - S^{a} left a remainder")
-        del quot[-a:]
-    return quot
-
-
-def _nonnegative(coeffs: list) -> list:
-    """The coefficients of a generating function, refused if one is negative."""
-    if any(c < 0 for c in coeffs):
-        raise ValueError("generating function produced a negative coefficient")
-    return coeffs
-
-
 def _entries_from_dense(coeffs: list, denom: int):
     # one Fraction per distinct multiplicity, shared by its entries, so that
     # Spectrum converts none of them
@@ -317,23 +238,14 @@ def _entries_from_dense(coeffs: list, denom: int):
     return [(Fraction(e - denom, denom), mults[c]) for e, c in enumerate(coeffs) if c]
 
 
-def _weight_quotient(ws: WeightSystem) -> tuple:
-    """(D, coefficients) of prod (T^w_i - T)/(1 - T^w_i) as a polynomial in S = T^(1/D).
-
-    D is the lcm of the weight denominators.  A division remainder or a
-    negative coefficient means the weights do not belong to a singularity.
-    """
-    denom = math.lcm(*(w.denominator for w in ws.weights))
-    quot = _binomial_quotient([int(w * denom) for w in ws.weights], denom)
-    return denom, _nonnegative(quot)
-
-
 def spectrum_from_weights(ws: WeightSystem) -> Spectrum:
     """Spectrum of the quasihomogeneous singularity with the given weights.
 
     The exponents of the expanded generating function (see
-    :func:`_weight_quotient`), shifted down by 1, are the spectral numbers.
+    ``weights._weight_quotient``), shifted down by 1, are the spectral numbers.
     """
+    from .weights import _weight_quotient
+
     denom, quot = _weight_quotient(ws)
     return Spectrum(ws.n, tuple(_entries_from_dense(quot, denom)))
 
@@ -351,6 +263,8 @@ def spectrum_curve(data: PuiseuxData) -> Spectrum:
     blocks (T^(1/m) - T)/(1 - T^(1/m)) over a common denominator and checks
     that the combination has nonnegative integer coefficients.
     """
+    from .weights import _binomial_quotient, _dense_length, _nonnegative
+
     w = (None,) + data.w  # 1-based
     np = data.nprime  # 0-based: n'_0 .. n'_g
     # (sign, m1, m2): one signed product of the geometric blocks of m1 and m2
@@ -363,3 +277,40 @@ def spectrum_curve(data: PuiseuxData) -> Spectrum:
         for e, c in enumerate(_binomial_quotient((denom // m1, denom // m2), denom)):
             total[e] += sign * c
     return Spectrum(1, tuple(_entries_from_dense(_nonnegative(total), denom)))
+
+
+# -- the parsers of the spectrum options -----------------------------------------
+
+
+def _tpqr_params(p: int, q: int, r: int) -> TpqrParams:
+    params = TpqrParams(p, q, r)
+    if params.mu > MAX_TPQR_MU:
+        raise ValueError(f"mu = p + q + r - 1 = {params.mu} is above the cap of {MAX_TPQR_MU}")
+    return params
+
+
+def _parse_tpqr(text: str) -> TpqrParams:
+    p, q, r = (int(part) for part in text.split(","))
+    return _tpqr_params(p, q, r)
+
+
+def _parse_puiseux(text: str) -> PuiseuxData:
+    pairs = (chunk.partition(":") for chunk in text.split(","))
+    return PuiseuxData(tuple((int(n), int(r)) for n, _, r in pairs))
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read(MAX_FILE_CHARS + 1)  # no more of the file is read
+    if len(text) > MAX_FILE_CHARS:
+        raise ValueError(f"the file holds more than the cap of {MAX_FILE_CHARS} characters")
+    return text
+
+
+def _parse_spectrum_file(path: str) -> Spectrum:
+    text = _read_text(path)
+    # counted before any value is parsed; every spectrum qh or curve output fits
+    records = sum(1 for line in text.splitlines() if line.strip()[:1] not in ("", "#"))
+    if records > MAX_DENSE_LENGTH:
+        raise ValueError(f"{records} record lines are above the cap of {MAX_DENSE_LENGTH}")
+    return Spectrum.from_text(text)

@@ -271,6 +271,18 @@ class TestAllKReader:
         assert chi_vector(data).chi == (F(-1, 8), F(33, 40), F(33, 40), F(-1, 8))
         assert bernoulli_moments_from_chern(data, F(5, 7), 10) == bernoulli_moments_by_expansion(data, F(5, 7), 10)
 
+    def test_chi_vector_is_linear_in_long_rational_chern_numbers(self):
+        # the Chern numbers are summed over one common unit: with distinct
+        # 200-digit denominators, chi is still the sum over the partitions of
+        # each number times the chi vector of that partition's number alone
+        parts = partitions_of(6)
+        values = {p: F(3 * i + 1, 10**199 + 2 * i + 1) for i, p in enumerate(parts)}
+        expected = [F(0)] * 7
+        for p, value in values.items():
+            alone = chi_vector(ChernData(6, {q: int(q == p) for q in parts}))
+            expected = [e + value * c for e, c in zip(expected, alone.chi)]
+        assert chi_vector(ChernData(6, values)).chi == tuple(expected)
+
     @pytest.mark.parametrize("spec, nu, kmax", [("pn:8", F(1, 3), 24), ("k3", F(1, 3), 24), ("genus:5", F(7, 2), 22)])
     def test_chi_route_equals_the_expansion_at_the_old_kmax_cap(self, spec, nu, kmax):
         data = builtin_chern_data(spec)

@@ -28,7 +28,7 @@ from bermoments.cli import (
 )
 
 from bermoments import WeightSystem
-from bermoments.spectra import MAX_DENSE_LENGTH
+from bermoments.weights import MAX_DENSE_LENGTH
 
 from helpers import FIXED_SYSTEMS
 
@@ -855,10 +855,11 @@ def test_the_unit_of_the_multiplicities_counts_in_the_entries_cap(tmp_path, caps
 def test_file_characters_are_capped(tmp_path, capsys, monkeypatch, kind):
     # at most MAX_FILE_CHARS + 1 characters are read, before any line is
     # counted or parsed: a file at the cap is read in full, and a longer one,
-    # however long, is refused as an error of its option
-    from bermoments import cli
+    # however long, is refused as an error of its option; both files are
+    # read by spectra._read_text
+    from bermoments import spectra
 
-    monkeypatch.setattr(cli, "MAX_FILE_CHARS", 100)
+    monkeypatch.setattr(spectra, "MAX_FILE_CHARS", 100)
     if kind == "chern":
         text, option = "n 1\npartition 1 value 2\n", "--file"
         argv, expected = ("manifold", "chern", "--file"), ["0\t2", "1\t1/2"]
@@ -1015,6 +1016,37 @@ def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys
             ("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "8", "--k-cap", "8"),
         ):
             argvs.append((command, *source, *rest))
+    for argv in argvs:
+        calls.clear()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out and len(calls) == 1, argv
+
+
+def test_each_request_centers_its_source_once(tmp_path, capsys, monkeypatch):
+    # the caps on the centered pairs of a --spectrum-file or a chi vector and
+    # the power sums read one centered tuple, built once per request
+    from bermoments import moments, spectra
+
+    calls = []
+    for cls in (spectra.Spectrum, moments.ChiVector):
+        monkeypatch.setattr(cls, "centered", lambda self, centered=cls.centered: calls.append(self) or centered(self))
+    spectrum = tmp_path / "t237.spectrum"
+    spectrum.write_text(run(capsys, "spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7")[1])
+    chern = tmp_path / "k3.chern"
+    chern.write_text("n 2\npartition 2 value 24\npartition 1,1 value 0\n")
+    argvs = [
+        ("manifold", "--chi=2,-20,2", "--nu", "7/3", "--kmax", "8"),
+        ("manifold", "chern", "--builtin", "pn:3", "--nu", "1/2", "--kmax", "8"),
+        ("manifold", "chern", "--file", str(chern), "--nu", "1/2", "--kmax", "8"),
+    ]
+    for command, *rest in (
+        ("gamma", "--nu", "5/2", "--kmax", "8"),
+        ("gamma", "--mode", "S", "--kmax", "8"),
+        ("check", "--mode", "W", "--kmax", "8"),
+        ("trace", "--nu", "3/2", "--kmax", "8"),
+        ("nu-threshold", "--k", "1", "--nu-hi", "3", "--steps", "8", "--k-cap", "8"),
+    ):
+        argvs.append((command, "--spectrum-file", str(spectrum), *rest))
     for argv in argvs:
         calls.clear()
         code, out, err = run(capsys, *argv)

@@ -48,9 +48,14 @@ EXPORTS = {
     ),
 }
 # the names that left the module above: the second routes, which no command
-# runs, for the oracle module, and the integer kernels of every numeric command
+# runs, for the oracle module, the integer kernels of every numeric command,
+# and the names that a --weights or a --mode request reads without spectra
+# or harness
 MOVED = {
     **dict.fromkeys(("DEFAULT_ORDER", "bernoulli_numbers"), "kernels"),
+    # the weight systems, whose Gamma needs no spectrum, and the nu of each conjecture
+    "WeightSystem": "weights",
+    "conjecture_nu": "moments",
     **dict.fromkeys(
         (
             "cos_scaled_value", "fourier_partial_sum", "generalized_bernoulli_value", "periodize",
@@ -99,6 +104,23 @@ def test_help_loads_no_computation_module():
     assert loaded_after("--help") == {"bermoments", "cli"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--tpqr", "2,3,7", "--nu", "1", "--kmax", "2"),
+        ("check", "--weights", "1/3,1/5", "--mode", "W", "--kmax", "2"),
+        ("manifold", "chern", "--builtin", "k3", "--nu", "1", "--kmax", "2"),
+    ],
+)
+def test_no_route_module_imports_the_command_line(argv):
+    # python -m runs cli.py as __main__, so a module of the request's route
+    # that imported bermoments.cli would compile cli.py a second time
+    result = run_python("-X", "importtime", "-m", "bermoments.cli", *argv)
+    imported = {line.rpartition("|")[2].strip() for line in result.stderr.splitlines()}
+    assert "bermoments.moments" in imported
+    assert "bermoments.cli" not in imported
+
+
 def test_manifold_chi_loads_no_spectrum_or_chern_module():
     loaded = loaded_after("manifold", "--chi=1,1,1", "--nu", "2", "--kmax", "3")
     assert "moments" in loaded
@@ -122,27 +144,34 @@ def test_apoly_loads_only_the_polynomial_modules(values):
 
 
 # argv -> the modules it loads besides bermoments and bermoments.cli; FILE is a
-# spectrum file.  A --weights source loads spectra for its admissibility check
-SOURCE = {"_record", "spectra", "moments", "harness", "kernels"}
-SOURCES = [("--weights", "1/3,1/5"), ("--tpqr", "2,3,7"), ("--puiseux", "2:5,2:23"), ("--spectrum-file", "FILE")]
+# spectrum file.  A --weights source loads weights for its admissibility check
+# and no spectra; a --puiseux spectrum is a dense expansion of weights too,
+# and a --tpqr or a file spectrum loads no weights
+ROUTE = {"_record", "moments", "kernels"}
+SOURCES = [
+    (("--weights", "1/3,1/5"), ROUTE | {"weights"}),
+    (("--tpqr", "2,3,7"), ROUTE | {"spectra"}),
+    (("--puiseux", "2:5,2:23"), ROUTE | {"spectra", "weights"}),
+    (("--spectrum-file", "FILE"), ROUTE | {"spectra"}),
+]
 LOADS = [
     (("bernoulli", "--count", "6"), {"kernels"}),
     (("theta", "--order", "6"), {"kernels"}),
-    (("spectrum", "qh", "--weights", "1/3,1/5"), {"_record", "spectra"}),
+    (("spectrum", "qh", "--weights", "1/3,1/5"), {"_record", "spectra", "weights"}),
     (("spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7"), {"_record", "spectra"}),
-    (("spectrum", "curve", "--puiseux", "2:5,2:23"), {"_record", "spectra"}),
+    (("spectrum", "curve", "--puiseux", "2:5,2:23"), {"_record", "spectra", "weights"}),
     (("manifold", "--chi=1,1,1", "--nu", "2", "--kmax", "3"), {"_record", "moments", "kernels"}),
     (("manifold", "chern", "--builtin", "k3", "--nu", "2", "--kmax", "3"), {"_record", "chern", "kernels", "moments"}),
     (("manifold", "chern", "--file", "FILE", "--nu", "2", "--kmax", "3"), {"_record", "chern", "kernels", "moments", "spectra"}),
 ]
-for source in SOURCES:
+for source, route in SOURCES:
     LOADS += [
-        (("gamma", *source, "--mode", "S", "--kmax", "3"), SOURCE),
-        # harness only gives the nu of --mode
-        (("gamma", *source, "--nu", "2", "--kmax", "3"), SOURCE - {"harness"}),
-        (("check", *source, "--mode", "W", "--kmax", "3"), SOURCE),
-        (("trace", *source, "--nu", "2", "--kmax", "3"), SOURCE | {"bernpoly"}),
-        (("nu-threshold", *source, "--k", "1", "--nu-hi", "4", "--steps", "4"), SOURCE),
+        # the nu of --mode is in moments: gamma loads no harness
+        (("gamma", *source, "--mode", "S", "--kmax", "3"), route),
+        (("gamma", *source, "--nu", "2", "--kmax", "3"), route),
+        (("check", *source, "--mode", "W", "--kmax", "3"), route | {"harness"}),
+        (("trace", *source, "--nu", "2", "--kmax", "3"), route | {"harness", "bernpoly"}),
+        (("nu-threshold", *source, "--k", "1", "--nu-hi", "4", "--steps", "4"), route | {"harness"}),
     ]
 FILES = {"chern": "n 2\npartition 2 value 24\npartition 1,1 value 0\n", "spectrum": "n 1\nalpha -1/6 mult 1\nalpha 1/6 mult 1\n"}
 

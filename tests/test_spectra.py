@@ -21,7 +21,7 @@ from bermoments import (
     spectrum_tpqr,
     thom_sebastiani,
 )
-from bermoments.spectra import _nonnegative
+from bermoments.weights import _nonnegative
 
 
 brieskorn_st = st.lists(st.integers(2, 6), min_size=1, max_size=4).map(
