@@ -249,16 +249,12 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _check_kmax(nu, source, kmax: int, name: str = "spectrum"):
-    """The joint caps against --kmax: of the bits of nu, then of a --spectrum-file or a chi vector.
-
-    Returns the centered pairs of that source (None without one), which its
-    transform then reads.
-    """
+def _check_kmax(nu, source, kmax: int):
+    """The joint caps against --kmax: of the bits of nu, then of a --spectrum-file or a chi vector."""
     from .moments import _check_source
 
     _check_bits(_bits(nu), kmax, "(bits of nu) * --kmax", MAX_NU_BITS_KMAX)
-    return _check_source(source, name, kmax)
+    _check_source(source, kmax)
 
 
 def _cmd_gamma(args) -> int:
@@ -266,8 +262,8 @@ def _cmd_gamma(args) -> int:
 
     spectrum = _spectrum_from_args(args)
     nu = conjecture_nu(spectrum, args.mode) if args.nu is None else args.nu
-    centered = _check_kmax(nu, args.spectrum_file, args.kmax)
-    return _print_rows(gamma_of(spectrum, 2 * args.kmax, centered)(nu).values)
+    _check_kmax(nu, args.spectrum_file, args.kmax)
+    return _print_rows(gamma_of(spectrum, 2 * args.kmax)(nu).values)
 
 
 def _cmd_check(args) -> int:
@@ -275,8 +271,8 @@ def _cmd_check(args) -> int:
     from .moments import conjecture_nu
 
     spectrum = _spectrum_from_args(args)
-    centered = _check_kmax(conjecture_nu(spectrum, args.mode), args.spectrum_file, args.kmax)
-    report = check_conjecture(spectrum, args.mode, args.kmax, centered)
+    _check_kmax(conjecture_nu(spectrum, args.mode), args.spectrum_file, args.kmax)
+    report = check_conjecture(spectrum, args.mode, args.kmax)
     for k, value, ok in report.rows:
         print(f"{k}\t{value}\t{'pass' if ok else 'fail'}")
     print(f"overall\t{'pass' if report.overall else 'fail'}")
@@ -286,9 +282,9 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     from .harness import trace_convergence
 
-    centered = _check_kmax(args.nu, args.spectrum_file, args.kmax)
+    _check_kmax(args.nu, args.spectrum_file, args.kmax)
     spectrum = _spectrum_from_args(args)
-    for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax, centered), start=1):
+    for k, value in enumerate(trace_convergence(spectrum, args.nu, args.kmax), start=1):
         print(f"{k}\t{value:.12g}")
     return 0
 
@@ -300,9 +296,9 @@ def _cmd_nu_threshold(args) -> int:
     k_cap = args.k if args.k_cap is None else args.k_cap
     bits = _bits(args.nu_hi) + args.steps
     _check_bits(bits, k_cap, "(bits of --nu-hi + --steps) * --k-cap", MAX_THRESHOLD_BITS_K)
-    centered = _check_source(args.spectrum_file, "spectrum", k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
+    _check_source(args.spectrum_file, k_cap, "--k-cap", MAX_THRESHOLD_BITS_K)
     spectrum = _spectrum_from_args(args)
-    print(nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap, centered))
+    print(nu_threshold(spectrum, args.k, args.nu_hi, args.steps, args.k_cap))
     return 0
 
 
@@ -318,8 +314,8 @@ def _cmd_manifold(args) -> int:
         chi, nu, kmax = chi_vector(args.builtin or args.file), args.nu, args.kmax
     elif None in (chi, nu, kmax):
         raise ValueError("manifold needs --chi, --nu and --kmax (or the chern subcommand)")
-    centered = _check_kmax(nu, chi, kmax, "chi vector")
-    return _print_rows(gamma_of(chi, 2 * kmax, centered)(nu).values)
+    _check_kmax(nu, chi, kmax)
+    return _print_rows(gamma_of(chi, 2 * kmax)(nu).values)
 
 
 _HANDLERS = {

@@ -11,8 +11,8 @@ larger nu (monotone in nu); nothing checks that assumption.
 
 The checks, the threshold search and the trace sequence take a Spectrum or
 a WeightSystem and reach nu -> Gamma(V, nu) through moments.gamma_of, the one
-nu-entry of every source; a weight system's spectrum is never built.  Each
-passes on the centered pairs of a spectrum that its caller has built.
+nu-entry of every source, which centers a spectrum once; a weight system's
+spectrum is never built.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
@@ -47,7 +47,7 @@ class ConjectureReport:
         return all(ok for _, _, ok in self.rows)
 
 
-def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int, centered=None) -> ConjectureReport:
+def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> ConjectureReport:
     """Exact signs of (-1)^k Gamma_2k for k = 0..k_max.
 
     Mode 'W' demands strict positivity, mode 'S' allows zeros.  Exact
@@ -58,7 +58,7 @@ def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int, centered
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     nu = conjecture_nu(s, mode)
-    gamma = gamma_of(s, 2 * k_max, centered)(nu)
+    gamma = gamma_of(s, 2 * k_max)(nu)
     rows = []
     for k in range(k_max + 1):
         value = gamma.moment(2 * k)
@@ -74,7 +74,6 @@ def nu_threshold(
     nu_hi,
     steps: int,
     k_cap: int | None = None,
-    centered=None,
 ) -> Fraction:
     """Upper estimate of the smallest nu with nonnegative signs from index k up.
 
@@ -83,6 +82,11 @@ def nu_threshold(
     assumes, unchecked, that passing is monotone in nu; if it is, the result
     is a passing endpoint within nu_hi / 2**steps of the infimum over the
     probed window.  It never claims to be the true infimum.
+
+    The assumption fails per index: for T_{5,7,11} at k = 4, Gamma_8(nu) < 0
+    exactly at nu = i/32 for i = 10..19 of i = 0..128, and >= 0 on both
+    sides.  Since the probe at nu = 0 passes, 0 is returned there, as it is
+    whenever nu = 0 passes.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -94,7 +98,7 @@ def nu_threshold(
     cap = k if k_cap is None else k_cap
     if cap < k:
         raise ValueError("k_cap must be >= k")
-    gamma_at = gamma_of(s, 2 * cap, centered)
+    gamma_at = gamma_of(s, 2 * cap)
 
     def passes(nu: Fraction) -> bool:
         gamma = gamma_at(nu)
@@ -116,7 +120,7 @@ def nu_threshold(
     return hi
 
 
-def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int, centered=None) -> list:
+def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
     """The cosine-normalized Bernoulli moments for k = 1..k_max, as floats.
 
     Entry k is (-1)^k Gamma_2k * (2pi)^2k Gamma(nu) / (2 (2k)! (2k)^(nu-1)),
@@ -136,7 +140,7 @@ def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int, centered=None)
         raise ValueError(f"nu must be a positive number within the float range, not {nu}")
     from .bernpoly import scaled_to_cosine  # here: check and nu-threshold never load bernpoly
 
-    gamma = gamma_of(s, 2 * k_max, centered)(nu)
+    gamma = gamma_of(s, 2 * k_max)(nu)
     rows = []
     for k in range(1, k_max + 1):
         try:

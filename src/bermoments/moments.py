@@ -17,8 +17,8 @@ sums of a spectrum or a chi vector, then one integer sum per row, or one
 exponential of the weight product of a weight system.  Its oracles (the raw
 series, the transform of a series given by its values and the closed
 product forms) are in :mod:`bermoments.oracles`.  The nu of each sign
-conjecture, the parser of ``--chi`` and the caps on the centered pairs of a
-``--spectrum-file`` or a chi vector are here too.
+conjecture, the parser of ``--chi`` and the caps on a ``--spectrum-file`` or a
+chi vector, read off the source as built, are here too.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ def _power_sums(pairs, order: int) -> tuple:
     return tuple(sums), unit, scale**2
 
 
-def _even_rows(order: int) -> list:
-    """C(2k, 0), C(2k, 2), ..., C(2k, 2k) for 2k <= order: the rows of :func:`_transform`."""
-    return [_binomial_row(2 * k)[::2] for k in range(order // 2 + 1)]
-
-
 def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSeries:
     """Gamma(V, nu) to `order` of V_2k = N_k / (unit * sigma^k), N = `sums`.
 
@@ -127,7 +122,7 @@ def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSerie
     Gamma_2k = sum_j C(2k, 2j) V_(2k-2j) A_2j(0, nu) reads
     unit L (4 sigma q)^k Gamma_2k = sum_j C(2k, 2j) ((4q)^(k-j) N_(k-j)) (sigma^j H_j):
     one sum per row, by Horner's rule in 4q, and one Fraction.  `rows` are
-    the :func:`_even_rows` of `order`, built once for every nu.
+    C(2k, 0), C(2k, 2), ..., C(2k, 2k) for 2k <= order, built once for every nu.
     """
     nu = Fraction(nu)
     table, common = _scaled_zero_values(order, nu.numerator, nu.denominator)
@@ -146,18 +141,17 @@ def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSerie
     return MomentSeries(values, order, nu)
 
 
-def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int, centered=None):
+def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
     """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector or a weight system.
 
-    The power sums of the source run once, on `centered`, the pairs of
-    ``source.centered()`` when the caller has built them already.  Each nu is
-    then one integer sum per row (:func:`_transform`, on binomial rows built
-    once), or, for a weight system checked as spectrum_from_weights checks it,
-    one exp of its weight product.
+    A spectrum or a chi vector is centered here, once, and its power sums run
+    once.  Each nu is then one integer sum per row (:func:`_transform`, on
+    binomial rows built once), or, for a weight system checked as
+    spectrum_from_weights checks it, one exp of its weight product.
     """
     if hasattr(source, "centered"):  # a Spectrum or a ChiVector
-        pairs = source.centered() if centered is None else centered
-        integers, rows = _power_sums(pairs, order), _even_rows(order)
+        integers = _power_sums(source.centered(), order)
+        rows = [_binomial_row(2 * k)[::2] for k in range(order // 2 + 1)]
         return lambda nu: _transform(*integers, order, nu, rows)
     from .weights import _weight_quotient
 
@@ -208,29 +202,37 @@ def _lcm_until(denominators, most: int) -> int:
     return out
 
 
-def _check_source(source, name: str, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
-    """The centered pairs of a --spectrum-file or a chi vector, once their bits are capped.
+def _check_source(source, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
+    """Cap the bits of a --spectrum-file or a chi vector, as built, against the order.
 
-    The bits of the pairs (the larger of their scale, the lcm of their
-    denominators, and of their largest numerator over it) are capped to `cap`,
-    and (entries) * (those bits, over the unit too: the lcm of the
+    The bits of its centered pairs (the larger of their scale, the lcm of
+    their denominators, and of their largest numerator over it) are capped to
+    `cap`, and (entries) * (those bits, over the unit too: the lcm of the
     denominators of the multiplicities) to MAX_POWER_SUM_BITS, each times the
     order, before any power sum runs.  The order counts as at least 1, since
     the power sums form the scale at every order, and the scale and the unit
-    are built only until each alone is above a cap.  None gives None.
+    are built only until each alone is above a cap.  None passes.
+
+    Nothing is centered: for a/d in lowest terms and 2c an integer, a/d - c
+    has the denominator of 1/d - c, so the scale takes one Fraction per
+    distinct d.
     """
     if source is None:
-        return None
+        return
     size = max(size, 1)
-    centered = source.centered()  # symmetric about 0, so the last is the largest
-    most = MAX_POWER_SUM_BITS // (len(centered) * size)
-    scale = _lcm_until((a.denominator for a, _ in centered), min(cap // size, most))
-    largest = max(scale, centered[-1][0] * scale)
+    if isinstance(source, ChiVector):  # the pairs (p, chi_p) about n/2
+        name, pairs, center = "chi vector", tuple(enumerate(source.chi)), Fraction(source.n, 2)
+    else:
+        name, pairs, center = "spectrum", source.entries, Fraction(source.n - 1, 2)
+    most = MAX_POWER_SUM_BITS // (len(pairs) * size)
+    # the distinct d in entry order, so that the lcm stops where that of the centered pairs would
+    distinct = dict.fromkeys(a.denominator for a, _ in pairs)
+    scale = _lcm_until(((Fraction(1, d) - center).denominator for d in distinct), min(cap // size, most))
+    largest = max(scale, (pairs[-1][0] - center) * scale)  # symmetric about the center: the last is the largest
     _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
-    unit = _lcm_until((m.denominator for _, m in centered), most)
-    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
+    unit = _lcm_until((m.denominator for _, m in pairs), most)
+    entries_bits = len(pairs) * (largest * unit).numerator.bit_length()
     _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
-    return centered
 
 
 # -- compact complex manifolds ---------------------------------------------------

@@ -6,9 +6,10 @@ are kept for the tests, the demos, the benchmark's cross-checks and library
 users, which reach them through ``bermoments.<name>``; no command imports
 this module, so no request compiles it.
 
-* the raw moment series of a spectrum or a chi vector and the transform of
-  a series given by its values (the power sums and integer rows of
-  :mod:`bermoments.moments` are the command route), Gamma_2k summed
+* the raw moment series of a spectrum or a chi vector, summed directly
+  over its centered pairs, and the transform of a series given by its values,
+  a product with the values of A_2j(0, nu) (the integer power sums and rows
+  of :mod:`bermoments.moments` are the command route), Gamma_2k summed
   pointwise over a spectrum, and the closed product forms of
   quasihomogeneous and hyperbolic singularities and of P^n, K3 and curves;
 * spectra given directly, and the Thom-Sebastiani join;
@@ -42,7 +43,7 @@ from .bernpoly import (
 )
 from .chern import _expansion_sums, _twisted_series
 from .kernels import DEFAULT_ORDER, _even_exp, _even_mul, _theta_values, bernoulli_numbers
-from .moments import MomentSeries, _even_rows, _power_sums, _qh_gamma, _transform
+from .moments import MomentSeries
 from .polynomials import MPoly
 from .series import TruncatedSeries, _even_series
 from .spectra import Spectrum
@@ -52,9 +53,19 @@ from .spectra import Spectrum
 
 
 def _raw_series(source, order: int) -> MomentSeries:
-    """The raw series of a spectrum or a chi vector, from the power sums of its centered pairs."""
-    sums, unit, sigma = _power_sums(source.centered(), order)
-    return MomentSeries((Fraction(n, unit * sigma**k) for k, n in enumerate(sums)), order, None)
+    """The raw series of a spectrum or a chi vector: V_2k = sum m a^2k over its centered pairs (a, m).
+
+    The pairs are grouped by the denominators of a^2 and of m: each group sums
+    its numerators in integers, and the groups add as Fractions.
+    """
+    groups: dict = {}
+    for a, m in source.centered():
+        groups.setdefault((a.denominator**2, m.denominator), []).append((a.numerator**2, m.numerator))
+    values = (
+        sum(Fraction(sum(m * s**k for s, m in group), e**k * d) for (e, d), group in groups.items())
+        for k in range(order // 2 + 1)
+    )
+    return MomentSeries(values, order, None)
 
 
 def moments_of_spectrum(s: Spectrum, order: int = DEFAULT_ORDER) -> MomentSeries:
@@ -70,12 +81,13 @@ def moments_of_chi(chi: ChiVector, order: int = DEFAULT_ORDER) -> MomentSeries:
 def bernoulli_moments(v: MomentSeries, nu) -> MomentSeries:
     """Gamma(V, nu) = V * ((t/2)/sinh(t/2))^nu; v must be a raw moment series.
 
-    The rows of ``moments._transform``, read on the values of v: N_k = V_2k and
-    unit = sigma = 1.  Equals _even_mul(v.values, _zero_values(v.order, nu)).
+    The product of the values of v with those of A_2j(0, nu), the
+    factorial-normalized values of ((t/2)/sinh(t/2))^nu.
     """
     if not v.is_raw:
         raise ValueError("bernoulli_moments expects a raw moment series")
-    return _transform(v.values, 1, 1, v.order, nu, _even_rows(v.order))
+    nu = Fraction(nu)
+    return MomentSeries(_even_mul(v.values, _zero_values(v.order, nu)), v.order, nu)
 
 
 def bernoulli_moment_direct(s: Spectrum, nu, k: int) -> Fraction:
@@ -98,10 +110,16 @@ def moments_qh_product(ws: WeightSystem, order: int = DEFAULT_ORDER) -> MomentSe
 
     The factor of a weight w is sinh((1-w)t/2)/sinh(wt/2), that is
     (1/w - 1) * exp(theta(wt) - theta((1-w)t)), so V = mu exp(theta P) with
-    P_2k = N_k / sigma^k = sum_w (w^2k - (1-w)^2k).
-    Equals moments_of_spectrum(spectrum_from_weights(ws)): Gamma at nu = 0, labelled raw.
+    P_2k = sum_w (w^2k - (1-w)^2k).
+    Equals moments_of_spectrum(spectrum_from_weights(ws)).
     """
-    return MomentSeries(_qh_gamma(ws, order)(0).values, order, None)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    theta = _theta_values(order // 2 + 1)
+    exponent = [theta[0]]
+    for k in range(1, len(theta)):
+        exponent.append(theta[k] * sum(w ** (2 * k) - (1 - w) ** (2 * k) for w in ws.weights))
+    return MomentSeries((ws.mu * value for value in _even_exp(exponent)), order, None)
 
 
 def _gamma_weight_values(w, order: int) -> tuple:

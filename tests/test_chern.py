@@ -461,3 +461,38 @@ class TestManifoldValues:
         incomplete = ChernData(2, {(2,): F(24)})
         with pytest.raises(KeyError, match="partition"):
             moment_from_chern(incomplete, 1)
+
+
+def _libgober_wood_sides(data):
+    """(n, c_n, c_1 c_(n-1), V_2 and Gamma_2 at nu = n) of Chern numbers, on the command route."""
+    from bermoments.moments import gamma_of
+
+    n = data.n
+    gamma = gamma_of(chi_vector(data), 2)
+    c1_cn1 = data.number((n - 1, 1) if n > 1 else (1,))  # c_1 c_0 = c_1 for a curve
+    return n, data.number((n,)), c1_cn1, gamma(0).moment(2), gamma(n).moment(2)
+
+
+@pytest.mark.parametrize("spec", [f"pn:{n}" for n in range(1, 9)] + ["k3"] + [f"genus:{g}" for g in range(10)])
+def test_libgober_wood_identity_on_the_command_route(spec):
+    # Libgober and Wood (J. Differential Geom. 31, 1990): V_2 = (n/12) c_n +
+    # (1/6) c_1 c_(n-1), so Gamma_2(V, n) = c_1 c_(n-1) / 6, read through
+    # chern.chi_vector and moments.gamma_of
+    n, cn, c1_cn1, v2, gamma2 = _libgober_wood_sides(builtin_chern_data(spec))
+    assert v2 == F(n, 12) * cn + c1_cn1 / 6
+    assert gamma2 == c1_cn1 / 6
+
+
+@st.composite
+def _rational_chern_data(draw):
+    n = draw(st.integers(1, 8))
+    values = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
+    return ChernData(n, {lam: draw(values) for lam in partitions_of(n)})
+
+
+@given(_rational_chern_data())
+@settings(max_examples=40, deadline=None)
+def test_libgober_wood_identity_holds_for_rational_chern_numbers(data):
+    n, cn, c1_cn1, v2, gamma2 = _libgober_wood_sides(data)
+    assert v2 == F(n, 12) * cn + c1_cn1 / 6
+    assert gamma2 == c1_cn1 / 6

@@ -193,3 +193,24 @@ class TestCurveCorrectionMechanics:
     def test_k_bound(self):
         with pytest.raises(ValueError):
             curve_correction_terms(0, 2, 2, 3, 13)
+
+
+def test_nu_threshold_monotonicity_fails_per_index_on_t_5_7_11(capsys):
+    # the bisection assumes that passing is monotone in nu; for T_{5,7,11}
+    # at index 4 it is not: (-1)^4 Gamma_8(nu) < 0 exactly at nu = i/32 for
+    # i = 10..19 of i = 0..128, and >= 0 on both sides.  The probe at nu = 0
+    # passes, so nu_threshold returns 0, while gamma at nu = 1/2 prints a
+    # negative Gamma_8
+    from bermoments.cli import main
+    from bermoments.moments import gamma_of
+
+    s = spectrum_tpqr(TpqrParams(5, 7, 11))
+    gamma_at = gamma_of(s, 8)
+    failing = [i for i in range(129) if gamma_at(F(i, 32)).moment(8) < 0]
+    assert failing == list(range(10, 20))
+    assert nu_threshold(s, 4, 4, 30) == 0
+    assert main(["nu-threshold", "--tpqr", "5,7,11", "--k", "4", "--nu-hi", "4", "--steps", "30"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["gamma", "--tpqr", "5,7,11", "--nu", "1/2", "--kmax", "4"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split("\t")
+    assert last[0] == "4" and F(last[1]) < 0

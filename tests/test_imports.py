@@ -280,3 +280,18 @@ def test_unknown_name_raises_attribute_error():
         bermoments.no_such_name
     with pytest.raises(ImportError):
         from bermoments import no_such_name  # noqa: F401
+
+
+def test_the_oracles_bind_no_private_name_of_moments():
+    # the oracles compare against the command route of bermoments.moments, so
+    # they share none of its private helpers: a change to _power_sums or
+    # _transform cannot reach both sides of a comparison
+    from bermoments import moments, oracles
+
+    private = {
+        id(value): name
+        for name, value in vars(moments).items()
+        if name.startswith("_") and not name.startswith("__") and getattr(value, "__module__", None) == moments.__name__
+    }
+    assert private, "moments defines private helpers"
+    assert [name for name, value in vars(oracles).items() if id(value) in private] == []

@@ -710,3 +710,95 @@ def test_explicit_tables_hold_at_high_order():
     assert gamma_pn_closed(6, 200) == p6
     for ws in (WeightSystem((F(1, 5), F(1, 4), F(1, 3))), WeightSystem((F(4, 15), F(1, 5)))):
         assert moments_qh_product(ws, 120) == moments_of_spectrum(spectrum_from_weights(ws), 120)
+
+
+# -- the caps of a --spectrum-file or a chi vector, read off the source as built --
+
+
+def _check_from_centered(source, size, what, cap):
+    """The caps computed from ``source.centered()``: the oracle of ``moments._check_source``."""
+    from bermoments import MAX_POWER_SUM_BITS, _check_bits
+    from bermoments.moments import _lcm_until
+
+    name = "chi vector" if isinstance(source, ChiVector) else "spectrum"
+    size = max(size, 1)
+    centered = source.centered()
+    most = MAX_POWER_SUM_BITS // (len(centered) * size)
+    scale = _lcm_until((a.denominator for a, _ in centered), min(cap // size, most))
+    largest = max(scale, centered[-1][0] * scale)
+    _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
+    unit = _lcm_until((m.denominator for _, m in centered), most)
+    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
+    _check_bits(entries_bits, size, f"(entries * bits of the centered {name}) * {what}", MAX_POWER_SUM_BITS)
+
+
+def _outcome(check, *args):
+    """None if `check` passes, else the message of its ValueError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_DENOMINATORS = st.one_of(st.integers(1, 64), st.integers(2**40, 2**40 + 64), st.integers(2**200, 2**200 + 8))
+_MULTIPLICITIES = st.fractions(min_value=F(1, 10**4), max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def _spectra(draw):
+    """A spectrum of either parity of n: pairs c +- x over mixed denominators, rational multiplicities."""
+    n = draw(st.integers(1, 4))
+    center = F(n - 1, 2)
+    entries = []
+    for d in draw(st.lists(_DENOMINATORS, min_size=1, max_size=8)):
+        x = F(draw(st.integers(0, (n + 1) * d // 2 - 1)), d)  # |x| < (n + 1)/2: alpha in (-1, n)
+        m = draw(_MULTIPLICITIES)
+        entries += [(center + x, m), (center - x, m)] if x else [(center, m)]
+    return abstract_spectrum(n, entries)
+
+
+@st.composite
+def _chi_vectors(draw):
+    """A chi vector of rational values, Serre-symmetric."""
+    n = draw(st.integers(0, 9))
+    values = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=draw(_DENOMINATORS))
+    half = draw(st.lists(values, min_size=n // 2 + 1, max_size=n // 2 + 1))
+    return ChiVector(tuple(half[min(p, n - p)] for p in range(n + 1)))
+
+
+@given(st.one_of(_spectra(), _chi_vectors()), st.integers(1, 300), st.sampled_from(["--kmax", "--k-cap"]))
+@settings(max_examples=150, deadline=None)
+def test_the_check_of_the_source_as_built_has_the_boundaries_of_the_centered_pairs(source, size, what):
+    # each cap is put one bit either side of the source's bits: the first by
+    # `cap` at the bits times `size`, the second by the size at which the
+    # entries' bits times it pass MAX_POWER_SUM_BITS; both checks give the
+    # same verdict and the same message at every point
+    from math import lcm
+
+    from bermoments import MAX_POWER_SUM_BITS
+    from bermoments.moments import _check_source
+
+    centered = source.centered()
+    scale = lcm(*(a.denominator for a, _ in centered))
+    largest = max(scale, centered[-1][0] * scale)
+    bits = largest.numerator.bit_length()
+    unit = lcm(*(m.denominator for _, m in centered))
+    entries_bits = len(centered) * (largest * unit).numerator.bit_length()
+    boundary = MAX_POWER_SUM_BITS // entries_bits
+    points = [(size, bits * size + delta) for delta in (-1, 0, 1)]
+    points += [(s, 2**62) for s in (boundary - 1, boundary, boundary + 1) if s >= 0]
+    points += [(boundary + 1, bits * (boundary + 1) + delta) for delta in (-1, 0, 1)]
+    for s, cap in points:
+        expected = _outcome(_check_from_centered, source, s, what, cap)
+        assert _outcome(_check_source, source, s, what, cap) == expected, (s, cap)
+
+
+@given(st.integers(-(10**6), 10**6), _DENOMINATORS, st.integers(-20, 20))
+def test_a_centered_denominator_is_that_of_one_over_it(a, d, twice_c):
+    # den(a/d - c) = den(1/d - c) for gcd(a, d) = 1 and 2c an integer: what
+    # lets the check read the scale off the distinct denominators alone
+    from math import gcd
+
+    c = F(twice_c, 2)
+    if gcd(a, d) == 1:
+        assert (F(a, d) - c).denominator == (F(1, d) - c).denominator
