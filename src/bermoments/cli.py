@@ -104,16 +104,13 @@ def _add_spectrum_source(parser: argparse.ArgumentParser):
     group.add_argument("--spectrum-file", type=_parse_spectrum_file, help="path of a spectrum text file")
 
 
-def _spectrum_from_args(args) -> Spectrum | WeightSystem:
-    """The spectrum the arguments name; --weights is passed on as its weight system."""
-    if args.weights is not None:
-        return args.weights
-    if args.spectrum_file is not None:
-        return args.spectrum_file
-    from .spectra import spectrum_curve, spectrum_tpqr
+def _spectrum_from_args(args) -> Spectrum | WeightSystem | TpqrParams:
+    """The spectrum the arguments name; --weights and --tpqr are passed on as their parameters."""
+    for source in (args.weights, args.tpqr, args.spectrum_file):
+        if source is not None:
+            return source
+    from .spectra import spectrum_curve
 
-    if args.tpqr is not None:
-        return spectrum_tpqr(args.tpqr)
     return spectrum_curve(args.puiseux)
 
 

@@ -9,10 +9,11 @@ Exact rational bisection brackets the smallest admissible nu for a window
 of indices, assuming that passing at some nu implies passing at every
 larger nu (monotone in nu); nothing checks that assumption.
 
-The checks, the threshold search and the trace sequence take a Spectrum or
-a WeightSystem and reach nu -> Gamma(V, nu) through moments.gamma_of, the one
-nu-entry of every source, which centers a spectrum once; a weight system's
-spectrum is never built.
+The checks, the threshold search and the trace sequence take a Spectrum,
+a WeightSystem or TpqrParams and reach nu -> Gamma(V, nu) through
+moments.gamma_of, the one nu-entry of every source, which runs the power
+sums of a spectrum once; a weight system's spectrum is never built, nor
+that of T_{p,q,r} at nu = 1.
 
 The trace sequence normalizes the exact Bernoulli moments the same way the
 polynomials are normalized in the cosine limit; it converges to the cosine
@@ -47,7 +48,7 @@ class ConjectureReport:
         return all(ok for _, _, ok in self.rows)
 
 
-def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> ConjectureReport:
+def check_conjecture(s: Spectrum | WeightSystem | TpqrParams, mode: str, k_max: int) -> ConjectureReport:
     """Exact signs of (-1)^k Gamma_2k for k = 0..k_max.
 
     Mode 'W' demands strict positivity, mode 'S' allows zeros.  Exact
@@ -69,7 +70,7 @@ def check_conjecture(s: Spectrum | WeightSystem, mode: str, k_max: int) -> Conje
 
 
 def nu_threshold(
-    s: Spectrum | WeightSystem,
+    s: Spectrum | WeightSystem | TpqrParams,
     k: int,
     nu_hi,
     steps: int,
@@ -120,7 +121,7 @@ def nu_threshold(
     return hi
 
 
-def trace_convergence(s: Spectrum | WeightSystem, nu, k_max: int) -> list:
+def trace_convergence(s: Spectrum | WeightSystem | TpqrParams, nu, k_max: int) -> list:
     """The cosine-normalized Bernoulli moments for k = 1..k_max, as floats.
 
     Entry k is (-1)^k Gamma_2k * (2pi)^2k Gamma(nu) / (2 (2k)! (2k)^(nu-1)),

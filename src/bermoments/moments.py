@@ -13,8 +13,9 @@ an invertible triangular transform of the V_2k with polynomial-in-nu
 coefficients.
 
 :func:`gamma_of` is the one nu-entry of every source: the integer power
-sums of a spectrum or a chi vector, then one integer sum per row, or one
-exponential of the weight product of a weight system.  Its oracles (the raw
+sums of a spectrum or a chi vector, then one integer sum per row, one
+exponential of the weight product of a weight system, or the closed form
+of T_{p,q,r} at nu = 1.  Its oracles (the raw
 series, the transform of a series given by its values and the closed
 product forms) are in :mod:`bermoments.oracles`.  The nu of each sign
 conjecture, the parser of ``--chi`` and the caps on a ``--spectrum-file`` or a
@@ -24,7 +25,7 @@ chi vector, read off the source as built, are here too.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import MAX_NU_BITS_KMAX, MAX_POWER_SUM_BITS, _check_bits
 from ._record import record
@@ -33,7 +34,7 @@ from .kernels import _binomial_row, _coeff, _even_exp, _even_mul, _scaled_zero_v
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotations only: the chi and Chern routes never load spectra or weights
     from .series import TruncatedSeries
-    from .spectra import Spectrum
+    from .spectra import Spectrum, TpqrParams
     from .weights import WeightSystem
 
 
@@ -95,24 +96,50 @@ class MomentSeries:
         return MomentSeries(_even_mul(self.values, other.values), self.order, nu)
 
 
-def _power_sums(pairs, order: int) -> tuple:
-    """(N, unit, sigma): the even power sums of pairs (a_i, m_i) of Fractions or ints.
+def _power_sums(pairs, order: int, center=0) -> tuple:
+    """(N, unit, sigma): the even power sums of pairs (a_i - center, m_i), a_i and m_i Fractions or ints.
 
-    The a_i and m_i are written over common denominators, scale and unit, so
-    N_k = unit * sigma^k * sum_i m_i a_i^2k (2k <= order) is an integer sum,
-    with sigma = scale^2.  The even part of sum_i m_i exp(a_i t) then has the
-    values N_k / (unit * sigma^k); for a spectrum or a chi vector, whose pairs
-    Spectrum and ChiVector check to be symmetric about 0, the odd part cancels.
+    The a_i - center and m_i are written over common denominators, scale and
+    unit, so N_k = unit * sigma^k * sum_i m_i (a_i - center)^2k (2k <= order)
+    is an integer sum, with sigma = scale^2.  The even part of
+    sum_i m_i exp((a_i - center) t) then has the values N_k / (unit * sigma^k);
+    for a spectrum or a chi vector, whose pairs Spectrum and ChiVector check
+    to be symmetric about the center, the odd part cancels.
+
+    2 * center = h is an integer, so nothing is centered in Fractions: for
+    a_i = a/d in lowest terms, a/d - center has the denominator of
+    1/d - center (:func:`_centered_denominators`) and the numerator
+    (2a - h d) * scale / (2d) over the scale, an exact integer quotient.
     """
-    scale = lcm(*(a.denominator for a, _ in pairs))
+    ratios = [a.as_integer_ratio() for a, _ in pairs]
+    scale = lcm(*_centered_denominators(dict.fromkeys(d for _, d in ratios), center))
+    h = int(2 * center)
+    squares = [((2 * a - h * d) * scale // (2 * d)) ** 2 for a, d in ratios]
     unit = lcm(*(m.denominator for _, m in pairs))
-    squares = [(a.numerator * (scale // a.denominator)) ** 2 for a, _ in pairs]
     terms = [m.numerator * (unit // m.denominator) for _, m in pairs]
     sums = []
     for _ in range(0, order + 1, 2):
         sums.append(sum(terms))
         terms = [term * square for term, square in zip(terms, squares)]
     return tuple(sums), unit, scale**2
+
+
+def _centered_denominators(distinct, center):
+    """The denominators of a/d - center for the distinct denominators d, in their order.
+
+    For a/d in lowest terms and 2 * center = h an integer, a/d - center has
+    the denominator of 1/d - center = (2 - h d)/(2d), so the pairs' scale is
+    the lcm of these integers.
+    """
+    h = int(2 * center)
+    return (2 * d // gcd(2 - h * d, 2 * d) for d in distinct)
+
+
+def _about(source) -> tuple:
+    """(name, pairs, center): a chi vector's pairs (p, chi_p) about n/2, or a spectrum's entries about (n-1)/2."""
+    if isinstance(source, ChiVector):
+        return "chi vector", tuple(enumerate(source.chi)), Fraction(source.n, 2)
+    return "spectrum", source.entries, Fraction(source.n - 1, 2)
 
 
 def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSeries:
@@ -141,22 +168,28 @@ def _transform(sums, unit: int, sigma: int, order: int, nu, rows) -> MomentSerie
     return MomentSeries(values, order, nu)
 
 
-def gamma_of(source: Spectrum | ChiVector | WeightSystem, order: int):
-    """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector or a weight system.
+def gamma_of(source: Spectrum | ChiVector | WeightSystem | TpqrParams, order: int):
+    """nu -> Gamma(V, nu) to `order` of a spectrum, a chi vector, a weight system or T_{p,q,r}.
 
-    A spectrum or a chi vector is centered here, once, and its power sums run
-    once.  Each nu is then one integer sum per row (:func:`_transform`, on
-    binomial rows built once), or, for a weight system checked as
+    The power sums of a spectrum or a chi vector run once, centered in
+    integers.  Each nu is then one integer sum per row (:func:`_transform`,
+    on binomial rows built once), or, for a weight system checked as
     spectrum_from_weights checks it, one exp of its weight product.
+    T_{p,q,r} is read off the tangent numbers at nu = 1 (``spectra._tpqr_gamma``).
     """
-    if hasattr(source, "centered"):  # a Spectrum or a ChiVector
-        integers = _power_sums(source.centered(), order)
-        rows = [_binomial_row(2 * k)[::2] for k in range(order // 2 + 1)]
-        return lambda nu: _transform(*integers, order, nu, rows)
-    from .weights import _weight_quotient
+    if hasattr(source, "weights"):  # a WeightSystem
+        from .weights import _weight_quotient
 
-    _weight_quotient(source)
-    return _qh_gamma(source, order)
+        _weight_quotient(source)
+        return _qh_gamma(source, order)
+    if hasattr(source, "r"):  # TpqrParams
+        from .spectra import _tpqr_gamma
+
+        return _tpqr_gamma(source, order)
+    _, pairs, center = _about(source)
+    integers = _power_sums(pairs, order, center)
+    rows = [_binomial_row(2 * k)[::2] for k in range(order // 2 + 1)]
+    return lambda nu: _transform(*integers, order, nu, rows)
 
 
 def _qh_gamma(ws: WeightSystem, order: int):
@@ -184,7 +217,7 @@ def _qh_gamma(ws: WeightSystem, order: int):
     return gamma
 
 
-def conjecture_nu(s: Spectrum | WeightSystem, mode: str) -> Fraction:
+def conjecture_nu(s: Spectrum | WeightSystem | TpqrParams, mode: str) -> Fraction:
     """The nu used by each conjecture: n+1 for (W), the spread for (S)."""
     if mode == "W":
         return Fraction(s.n + 1)
@@ -213,21 +246,17 @@ def _check_source(source, size: int, what="--kmax", cap=MAX_NU_BITS_KMAX):
     the power sums form the scale at every order, and the scale and the unit
     are built only until each alone is above a cap.  None passes.
 
-    Nothing is centered: for a/d in lowest terms and 2c an integer, a/d - c
-    has the denominator of 1/d - c, so the scale takes one Fraction per
-    distinct d.
+    Nothing is centered: the scale is the lcm of :func:`_centered_denominators`,
+    one integer per distinct denominator.
     """
     if source is None:
         return
     size = max(size, 1)
-    if isinstance(source, ChiVector):  # the pairs (p, chi_p) about n/2
-        name, pairs, center = "chi vector", tuple(enumerate(source.chi)), Fraction(source.n, 2)
-    else:
-        name, pairs, center = "spectrum", source.entries, Fraction(source.n - 1, 2)
+    name, pairs, center = _about(source)
     most = MAX_POWER_SUM_BITS // (len(pairs) * size)
     # the distinct d in entry order, so that the lcm stops where that of the centered pairs would
     distinct = dict.fromkeys(a.denominator for a, _ in pairs)
-    scale = _lcm_until(((Fraction(1, d) - center).denominator for d in distinct), min(cap // size, most))
+    scale = _lcm_until(_centered_denominators(distinct, center), min(cap // size, most))
     largest = max(scale, (pairs[-1][0] - center) * scale)  # symmetric about the center: the last is the largest
     _check_bits(largest.numerator.bit_length(), size, f"(bits of the centered {name}) * {what}", cap)
     unit = _lcm_until((m.denominator for _, m in pairs), most)

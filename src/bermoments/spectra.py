@@ -13,7 +13,8 @@ Constructors:
   division of its numerator by each binomial 1 - S^a (the dense expansion of
   :mod:`bermoments.weights`).
 * :func:`spectrum_tpqr` builds the hyperbolic surface singularity spectrum
-  {0, 1} plus the interior fractions with denominators p, q, r.
+  {0, 1} plus the interior fractions with denominators p, q, r; its Gamma
+  at nu = 1 needs no spectrum (``_tpqr_gamma``, which moments.gamma_of calls).
 * :func:`spectrum_curve` expands the Eisenbud-Neumann generating function of
   an irreducible plane curve branch given by its Puiseux pairs.
 
@@ -173,6 +174,16 @@ class TpqrParams:
     def mu(self) -> int:
         return self.p + self.q + self.r - 1
 
+    @property
+    def n(self) -> int:
+        """A surface singularity: the ambient parameter of its spectrum is 2."""
+        return 2
+
+    @property
+    def spread(self) -> Fraction:
+        """alpha_mu - alpha_1 = 1 - 0, the nu of the strong conjecture (S)."""
+        return Fraction(1)
+
 
 @record
 class PuiseuxData:
@@ -254,6 +265,44 @@ def spectrum_tpqr(params: TpqrParams) -> Spectrum:
     """Spectrum of T_{p,q,r}: {0, 1} plus i/p, i/q, i/r for interior i; n = 2."""
     interior = [(Fraction(i, m), 1) for m in (params.p, params.q, params.r) for i in range(1, m)]
     return Spectrum(2, ((0, 1), (1, 1), *interior))
+
+
+def _tpqr_gamma(params: TpqrParams, order: int):
+    """nu -> Gamma(V, nu) of T_{p,q,r}; at nu = 1 no spectrum is built.
+
+    At nu = 1, its spread, Raabe's multiplication theorem
+    sum_(i=1..m-1) B_n(i/m) = (m^(1-n) - 1) B_n collapses each block i/m of
+    the spectrum, and 2cosh(t/2) (t/2)/sinh(t/2) = t coth(t/2) gives 2 B_2k:
+    Gamma_2k = B_2k (-1 + p^(1-2k) + q^(1-2k) + r^(1-2k)).  With
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers and
+    P = p^(2k-1), ..., that is one Fraction of the integers
+    (-1)^(k-1) 2k T_k (QR + PR + PQ - PQR) over 4^k (4^k - 1) PQR.  Any other
+    nu transforms the power sums of spectrum_tpqr, built at the first such nu
+    and read by every later one.
+    """
+    from .moments import MomentSeries, gamma_of  # here: spectrum tpqr, qh and curve never load moments
+
+    other = None
+
+    def gamma(nu) -> MomentSeries:
+        nonlocal other
+        if nu != 1:
+            if other is None:
+                other = gamma_of(spectrum_tpqr(params), order)
+            return other(nu)
+        from .kernels import _tangent_numbers
+
+        p, q, r = params.p, params.q, params.r
+        powers = [q * r, p * r, p * q, -p * q * r]  # QR, PR, PQ and -PQR at k = 1
+        squares = [power * power for power in powers]
+        values, four = [params.mu], 1
+        for k, tangent in enumerate(_tangent_numbers(order // 2), start=1):
+            four *= 4
+            values.append(Fraction((-1) ** (k - 1) * 2 * k * tangent * sum(powers), four * (four - 1) * -powers[3]))
+            powers = [power * square for power, square in zip(powers, squares)]
+        return MomentSeries(values, order, nu)
+
+    return gamma
 
 
 def spectrum_curve(data: PuiseuxData) -> Spectrum:

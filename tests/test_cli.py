@@ -241,6 +241,49 @@ def test_weights_power_sums_run_once_per_source(capsys, monkeypatch):
     assert code == 0 and err == "" and len(calls) == 1
 
 
+def test_tpqr_at_one_never_builds_the_spectrum(capsys, monkeypatch):
+    # at nu = 1, the spread of T_{p,q,r}, Gamma is read off the tangent
+    # numbers: no Spectrum, no power sum and no A_2j(0, nu) table
+    from bermoments import kernels, moments, spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the --tpqr route at nu = 1 left the closed form")
+
+    originals = (spectra.Spectrum, moments._power_sums, kernels._scaled_zero_values)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bermoments"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    for rest, rows in (
+        (("gamma", "--mode", "S", "--kmax", "10"), 11),
+        (("gamma", "--nu", "1", "--kmax", "10"), 11),
+        (("check", "--mode", "S", "--kmax", "10"), 12),
+        (("trace", "--nu", "1", "--kmax", "10"), 10),
+    ):
+        command, *tail = rest
+        for triple in ("4,5,7", "2,3,6", "3,3,3"):
+            code, out, err = run(capsys, command, "--tpqr", triple, *tail)
+            assert code == 0 and err == "" and len(out.splitlines()) == rows, (command, triple)
+
+
+def test_tpqr_threshold_runs_the_power_sums_once(tmp_path, capsys, monkeypatch):
+    # the probes at nu != 1 share one spectrum and its power sums, built at
+    # the first of them; the first midpoint of [0, 2] is nu = 1, the closed
+    # form.  The threshold is that of the spectrum read from a file
+    from bermoments import moments
+
+    calls = []
+    power_sums = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda *args: calls.append(args) or power_sums(*args))
+    argv = ("--k", "1", "--nu-hi", "2", "--steps", "8", "--k-cap", "6")
+    code, out, err = run(capsys, "nu-threshold", "--tpqr", "4,5,7", *argv)
+    assert code == 0 and err == "" and len(calls) == 1
+    path = tmp_path / "t457.spectrum"
+    path.write_text(run(capsys, "spectrum", "tpqr", "--p", "4", "--q", "5", "--r", "7")[1])
+    assert run(capsys, "nu-threshold", "--spectrum-file", str(path), *argv) == (0, out, "")
+
+
 def test_numeric_transforms_never_build_tangent_numbers(capsys, monkeypatch):
     # A_2j(0, nu) at a rational nu comes from the power recurrence of
     # sinh(t/2)/(t/2), so no numeric command of a spectrum, a chi vector or
@@ -270,6 +313,7 @@ def test_numeric_transforms_never_build_tangent_numbers(capsys, monkeypatch):
     for argv in (
         ("apoly", "--k", "12"),
         ("gamma", "--weights", "1/3,1/5,1/7", "--mode", "S", "--kmax", "12"),
+        ("gamma", "--tpqr", "2,3,7", "--mode", "S", "--kmax", "12"),
         ("theta", "--order", "12"),
         ("bernoulli", "--count", "12"),
         ("manifold", "chern", "--builtin", "pn:2", "--nu", "4/3", "--kmax", "3"),
@@ -1023,13 +1067,19 @@ def test_every_source_reaches_gamma_through_its_power_sums_once(tmp_path, capsys
 
 
 def test_each_request_centers_its_source_once(tmp_path, capsys, monkeypatch):
-    # the caps on the centered pairs of a --spectrum-file or a chi vector and
-    # the power sums read one centered tuple, built once per request
+    # the caps on the centered pairs of a --spectrum-file or a chi vector read
+    # the source as built, and the one call of the power sums shifts it to its
+    # center in integers: no request forms the centered pairs as Fractions
     from bermoments import moments, spectra
 
-    calls = []
+    def refuse(self):
+        raise AssertionError("a request centered its source in Fractions")
+
     for cls in (spectra.Spectrum, moments.ChiVector):
-        monkeypatch.setattr(cls, "centered", lambda self, centered=cls.centered: calls.append(self) or centered(self))
+        monkeypatch.setattr(cls, "centered", refuse)
+    calls = []
+    power_sums = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda *args: calls.append(args) or power_sums(*args))
     spectrum = tmp_path / "t237.spectrum"
     spectrum.write_text(run(capsys, "spectrum", "tpqr", "--p", "2", "--q", "3", "--r", "7")[1])
     chern = tmp_path / "k3.chern"

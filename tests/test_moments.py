@@ -661,6 +661,39 @@ class TestEvenValueTransform:
         assert gamma == bernoulli_moments(moments_of(source, order), nu)
         assert gamma.nu == nu and gamma.order == order
 
+    @given(spectrum=small_spectra(), a=NUS, b=NUS, order=st.integers(0, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_shifts_add(self, spectrum, a, b, order):
+        # Gamma(Gamma(V, a), b) = Gamma(V, a + b): the factors ((t/2)/sinh(t/2))^a and ^b multiply
+        v = moments_of_spectrum(spectrum, order)
+        once = bernoulli_moments(v, a)
+        twice = bernoulli_moments(MomentSeries(once.values, order, None), b)
+        assert twice.values == bernoulli_moments(v, a + b).values
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+                st.one_of(st.integers(1, 9), st.fractions(min_value=F(1, 7), max_value=9, max_denominator=7)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        twice_center=st.integers(-7, 7),
+        order=st.integers(0, 12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_power_sums_center_in_integers(self, pairs, twice_center, order):
+        # shifting the numerators in integers gives the integers of the pairs
+        # centered as Fractions: the same scale, unit and sums
+        center = F(twice_center, 2)
+        centered = [(F(a) - center, m) for a, m in pairs]
+        assert _power_sums(pairs, order, center) == _power_sums(centered, order)
+
+    def test_power_sums_center_where_the_scale_is_no_multiple_of_a_denominator(self):
+        # 1/6 - 1/2 = -1/3 and 5/6 - 1/2 = 1/3: scale 3, sigma 9
+        assert _power_sums([(F(1, 6), 1), (F(5, 6), 1)], 4, F(1, 2)) == ((2, 2, 2), 1, 9)
+
     def test_power_sums_take_int_offsets_and_rational_multiplicities(self):
         # pairs given directly: int and Fraction offsets, int and Fraction
         # multiplicities, each written over its common denominator in integers
@@ -802,3 +835,41 @@ def test_a_centered_denominator_is_that_of_one_over_it(a, d, twice_c):
     c = F(twice_c, 2)
     if gcd(a, d) == 1:
         assert (F(a, d) - c).denominator == (F(1, d) - c).denominator
+
+
+class TestTpqrWithoutSpectrum:
+    @given(p=st.integers(2, 60), q=st.integers(2, 60), r=st.integers(2, 60), order=st.integers(0, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_of_at_one_is_the_transform_and_the_oracle(self, p, q, r, order):
+        # non-hyperbolic triples too: Gamma of TpqrParams at nu = 1, read off
+        # the tangent numbers, against the transform of the power sums of
+        # spectrum_tpqr and against gamma_tpqr_closed
+        params = TpqrParams(p, q, r)
+        closed = gamma_of(params, order)(1)
+        assert closed == gamma_of(spectrum_tpqr(params), order)(1) == gamma_tpqr_closed(params, order)
+
+    @pytest.mark.parametrize("p, q, r, order", [(4, 5, 7, 400), (5455, 5457, 5473, 64)])
+    def test_gamma_of_at_one_at_a_high_order_and_at_the_mu_cap(self, p, q, r, order):
+        params = TpqrParams(p, q, r)
+        closed = gamma_of(params, order)(F(1))
+        assert closed == gamma_of(spectrum_tpqr(params), order)(1) == gamma_tpqr_closed(params, order)
+
+    @given(p=st.integers(2, 60), q=st.integers(2, 60), r=st.integers(2, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_spectrum_passes_every_check(self, p, q, r):
+        # Spectrum checks range, symmetry and multiplicities as it is built,
+        # so the nu = 1 route, which builds none, drops no refusal; its n and
+        # spread are those that TpqrParams gives conjecture_nu
+        params = TpqrParams(p, q, r)
+        spectrum = spectrum_tpqr(params)
+        assert (spectrum.n, spectrum.spread, spectrum.mu) == (params.n, params.spread, params.mu)
+
+    @given(p=st.integers(2, 60), q=st.integers(2, 60), r=st.integers(2, 60), nu=NUS, order=st.integers(0, 24))
+    @settings(max_examples=30, deadline=None)
+    def test_gamma_at_any_nu_is_the_closed_form_shifted(self, p, q, r, nu, order):
+        # Gamma(V_T, nu) = Gamma(Gamma(V_T, 1), nu - 1), on the oracles: the
+        # identity that would let one route serve every nu (at twice the bits)
+        params = TpqrParams(p, q, r)
+        at_one = MomentSeries(gamma_tpqr_closed(params, order).values, order, None)
+        direct = bernoulli_moments(moments_of_spectrum(spectrum_tpqr(params), order), nu)
+        assert bernoulli_moments(at_one, nu - 1).values == direct.values
